@@ -247,16 +247,17 @@ let trace nodes seed key json causal =
   else
   let net = N.build ~seed nodes in
   if json then begin
-    (* Machine-readable span trace: the recorder is attached after the
-       build, so exactly the query's events are exported. Everything
-       downstream of the seed is deterministic, so two same-seed runs
-       emit byte-identical JSONL. *)
-    let recorder = Baton_obs.Recorder.create () in
-    Net.set_recorder net (Some recorder);
-    let origin = Net.random_peer net in
-    ignore (Baton.Search.exact net ~from:origin key);
-    Net.set_recorder net None;
-    print_string (Baton_obs.Export.events_jsonl recorder)
+    (* Machine-readable trace of the query's episode: the tracer is
+       installed after the build, so exactly the query's hops are
+       exported. Everything downstream of the seed is deterministic, so
+       two same-seed runs emit byte-identical JSONL. *)
+    let tracer = Baton_obs.Trace.create ~capacity:1 () in
+    Net.set_tracer net (Some tracer);
+    ignore (Baton.Search.exact net ~from:(Net.random_peer net) key);
+    Net.set_tracer net None;
+    match Baton_obs.Trace.latest tracer with
+    | Some ep -> print_string (Baton_obs.Trace.episode_jsonl ep)
+    | None -> prerr_endline "baton trace: no episode was traced"; exit 1
   end
   else begin
     let hops = ref [] in
@@ -279,10 +280,29 @@ let trace nodes seed key json causal =
       outcome.Baton.Search.hops
   end
 
-(* Run a deterministic mixed workload under the telemetry recorder and
-   report per-operation-kind percentile digests plus per-node load
-   gauges — the tail-visibility companion to [simulate]'s means. *)
+let hist_json h =
+  let module Histogram = Baton_util.Histogram in
+  let module Json = Baton_obs.Json in
+  if Histogram.total h = 0 then Json.Null
+  else
+    Json.Obj
+      [
+        ("mean", Json.Float (Histogram.mean h));
+        ("p50", Json.Int (Histogram.percentile h 50.));
+        ("p95", Json.Int (Histogram.percentile h 95.));
+        ("p99", Json.Int (Histogram.percentile h 99.));
+        ("max", Json.Int (Option.value ~default:0 (Histogram.max_value h)));
+      ]
+
+(* Run a deterministic mixed workload under a tracer and report
+   per-operation-kind percentile digests plus per-node load gauges — the
+   tail-visibility companion to [simulate]'s means. Each top-level
+   operation is one trace episode (nested restructures and repairs fold
+   into it); its hops are the critical-path length, its msgs every
+   transmission. *)
 let stats nodes seed keys_per_node queries churn_rounds snapshot =
+  let module Trace = Baton_obs.Trace in
+  let module Histogram = Baton_util.Histogram in
   let net =
     match snapshot with
     | None -> N.build ~seed nodes
@@ -305,8 +325,30 @@ let stats nodes seed keys_per_node queries churn_rounds snapshot =
         Printf.eprintf "baton stats: %s\n" msg;
         exit 1)
   in
-  let recorder = Baton_obs.Recorder.create () in
-  Net.set_recorder net (Some recorder);
+  let tracer = Trace.create ~capacity:1 () in
+  Net.set_tracer net (Some tracer);
+  (* kind -> (count, hops, msgs) *)
+  let digests = Hashtbl.create 8 in
+  let observe f =
+    let before = Trace.episode_count tracer in
+    let v = f () in
+    (match Trace.latest tracer with
+    | Some ep when Trace.episode_count tracer > before ->
+      let a = Trace.analyze ep in
+      let count, hops, msgs =
+        match Hashtbl.find_opt digests a.Trace.a_op with
+        | Some d -> d
+        | None ->
+          let d = (ref 0, Histogram.create (), Histogram.create ()) in
+          Hashtbl.add digests a.Trace.a_op d;
+          d
+      in
+      incr count;
+      Histogram.add hops a.Trace.crit_hops;
+      Histogram.add msgs a.Trace.msgs
+    | Some _ | None -> ());
+    v
+  in
   let gauge = Baton_obs.Gauge.create () in
   let metrics = Net.metrics net in
   let ops_done = ref 0 in
@@ -323,15 +365,17 @@ let stats nodes seed keys_per_node queries churn_rounds snapshot =
   let gen = Datagen.uniform (Rng.create (seed + 1)) in
   let keys = Array.init (keys_per_node * nodes) (fun _ -> Datagen.next gen) in
   Array.iter
-    (fun k -> ignore (Baton.Update.insert net ~from:(Net.random_peer net) k))
+    (fun k ->
+      observe (fun () ->
+          ignore (Baton.Update.insert net ~from:(Net.random_peer net) k)))
     keys;
   let crng = Rng.create (seed + 3) in
   for _ = 1 to churn_rounds do
-    ignore (N.join net);
+    observe (fun () -> ignore (N.join net));
     tick ();
     if Net.size net > 2 then begin
       let ids = Net.live_ids net in
-      N.leave net (Rng.pick crng ids)
+      observe (fun () -> N.leave net (Rng.pick crng ids))
     end;
     tick ()
   done;
@@ -343,16 +387,40 @@ let stats nodes seed keys_per_node queries churn_rounds snapshot =
          Rng.int_in_range qrng ~lo:Datagen.domain_lo
            ~hi:(Datagen.domain_hi - span)
        in
-       ignore (Baton.Search.range net ~from:(Net.random_peer net) ~lo ~hi:(lo + span))
+       observe (fun () ->
+           ignore
+             (Baton.Search.range net ~from:(Net.random_peer net) ~lo
+                ~hi:(lo + span)))
      else
        let k = Rng.pick qrng keys in
-       ignore (Baton.Search.lookup net ~from:(Net.random_peer net) k));
+       observe (fun () ->
+           ignore (Baton.Search.lookup net ~from:(Net.random_peer net) k)));
     tick ()
   done;
-  Net.set_recorder net None;
+  Net.set_tracer net None;
+  let module Json = Baton_obs.Json in
+  let ops =
+    Hashtbl.fold (fun kind d acc -> (kind, d) :: acc) digests []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.map (fun (kind, (count, hops, msgs)) ->
+           Json.Obj
+             [
+               ("kind", Json.String kind);
+               ("count", Json.Int !count);
+               ("hops", hist_json hops);
+               ("msgs", hist_json msgs);
+             ])
+  in
   print_endline
-    (Baton_obs.Json.to_pretty_string
-       (Baton_obs.Export.stats_json ~load:gauge recorder))
+    (Json.to_pretty_string
+       (Json.Obj
+          [
+            ("ops", Json.List ops);
+            ( "load",
+              Json.List
+                (List.map Baton_obs.Gauge.sample_json
+                   (Baton_obs.Gauge.samples gauge)) );
+          ]))
 
 let compare_overlays nodes seed ops =
   let rng = Rng.create (seed + 9) in
@@ -720,7 +788,9 @@ let json_arg =
   Arg.(
     value & flag
     & info [ "json" ]
-        ~doc:"Emit the trace as JSONL span events instead of prose.")
+        ~doc:
+          "Emit the query's trace episode as JSONL (one hop per line plus \
+           a closing analysis line) instead of prose.")
 
 let causal_arg =
   Arg.(
@@ -757,8 +827,8 @@ let stats_snapshot_arg =
 
 let stats_cmd =
   let doc =
-    "Run a mixed workload under the telemetry recorder and report \
-     p50/p95/p99/max hop counts and message costs per operation kind, \
+    "Run a mixed workload under a tracer and report p50/p95/p99/max \
+     critical-path hops and message costs per top-level operation kind, \
      plus per-node load gauges."
   in
   Cmd.v (Cmd.info "stats" ~doc)

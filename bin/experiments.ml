@@ -35,8 +35,8 @@ let telemetry_arg =
     value & flag
     & info [ "telemetry" ]
         ~doc:
-          "Attach a span recorder to the BATON runs and add p95/p99 hop \
-           columns to the query tables.")
+          "Add BATON p95/p99 per-query hop columns to the query \
+           tables.")
 
 let run full tiny figure markdown telemetry =
   let params = if full then P.full else if tiny then P.tiny else P.quick in

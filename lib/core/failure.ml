@@ -173,7 +173,7 @@ let rec repair_run net ~reporter dead_id =
 (* The public entry: one discovery-to-recovery episode is one span,
    nested under whatever operation tripped over the failure. *)
 let repair net ~reporter dead_id =
-  Net.with_op net ~kind:Baton_obs.Span.repair (fun () ->
+  Net.with_op net ~kind:Msg.op_repair (fun () ->
       Net.profile net Baton_obs.Profile.s_repair (fun () ->
           repair_run net ~reporter dead_id))
 
@@ -202,7 +202,7 @@ let suspicion_threshold = 3
    links, and the departure phase mutates shared state only after its
    messages went through. *)
 let trigger net ~observer suspect_id =
-  Net.event net ~peer:suspect_id Msg.ev_repair_triggered;
+  Net.event net Msg.ev_repair_triggered;
   Net.clear_suspicion net suspect_id;
   (* Under the concurrent runtime the repair runs inside the harness's
      membership critical section (see [Net.set_repair_serializer]):
@@ -220,14 +220,14 @@ let observe_unreachable net ~observer dead_id =
      (local, no message; a no-op when the cache is off and empty). *)
   Route_cache.evict_peer observer.Node.cache dead_id;
   if Net.suspicion_repair net then begin
-    Net.event net ~peer:dead_id Msg.ev_suspect;
+    Net.event net Msg.ev_suspect;
     trigger net ~observer dead_id
   end
 
 let observe_timeout net ~observer suspect_id =
   Route_cache.evict_peer observer.Node.cache suspect_id;
   if Net.suspicion_repair net then begin
-    Net.event net ~peer:suspect_id Msg.ev_suspect;
+    Net.event net Msg.ev_suspect;
     if Net.suspect net suspect_id >= suspicion_threshold then begin
       (* Probe before acting: only an unreachable address convicts.
          The probe is an ordinary counted message (with retries). *)

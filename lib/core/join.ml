@@ -199,7 +199,7 @@ let accept net ~acceptor:(x : Node.t) new_id =
   (y, Metrics.since (Net.metrics net) mcp)
 
 let join net ~via =
-  Net.with_op net ~kind:Baton_obs.Span.join (fun () ->
+  Net.with_op net ~kind:Msg.op_join (fun () ->
       let acceptor, search_msgs = find_join_node net ~via in
       let new_id = Net.fresh_id net in
       let y, update_msgs = accept net ~acceptor new_id in

@@ -181,7 +181,7 @@ let rec resolve_from net (x : Node.t) acc =
 let resolve_replacement net x = resolve_from net x 0
 
 let rec leave net (x : Node.t) =
-  Net.with_op net ~kind:Baton_obs.Span.leave (fun () -> leave_run net x)
+  Net.with_op net ~kind:Msg.op_leave (fun () -> leave_run net x)
 
 and leave_run net (x : Node.t) =
   let metrics = Net.metrics net in

@@ -363,7 +363,7 @@ let json t =
       ("events", Json.List (List.map event_json evs));
       ( "load",
         Json.List
-          (List.map Baton_obs.Export.gauge_sample_json
+          (List.map Gauge.sample_json
              (Gauge.samples t.load_gauge)) );
       ( "summary",
         Json.Obj

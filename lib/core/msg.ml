@@ -49,6 +49,18 @@ let link_sideways = "sideways"
 let link_cache = "cache"
 let link_other = "other"
 
+(* Operation kinds: the name a protocol entry point gives its trace
+   episode ([Net.with_op]). Plain strings, so extensions can add kinds
+   without touching this module. *)
+let op_join = "join"
+let op_leave = "leave"
+let op_exact = "exact"
+let op_range = "range"
+let op_insert = "insert"
+let op_delete = "delete"
+let op_restructure = "restructure"
+let op_repair = "repair"
+
 (* Simulator event names (Metrics.event) — observations that are not
    themselves messages. *)
 let ev_retry = "send.retry"

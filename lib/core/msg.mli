@@ -86,6 +86,22 @@ val link_other : string
 (** Unclassifiable: the destination is not a current neighbour of the
     sender (e.g. a repair contact found out of band). *)
 
+(** {2 Operation kinds}
+
+    The kind each protocol entry point names its trace episode with
+    ([Net.with_op]); one top-level operation is one episode, and nested
+    work (a restructure inside a join, a repair inside a search) joins
+    its parent's episode. *)
+
+val op_join : string
+val op_leave : string
+val op_exact : string
+val op_range : string
+val op_insert : string
+val op_delete : string
+val op_restructure : string
+val op_repair : string
+
 (** {2 Event names}
 
     Names for {!Baton_sim.Metrics.event} counters — things worth

@@ -1,6 +1,5 @@
 module Bus = Baton_sim.Bus
 module Metrics = Baton_sim.Metrics
-module Recorder = Baton_obs.Recorder
 module Trace = Baton_obs.Trace
 module Profile = Baton_obs.Profile
 module Heat = Baton_obs.Heat
@@ -9,7 +8,23 @@ module Histogram = Baton_util.Histogram
 
 module Dyn_array = Baton_util.Dyn_array
 
-type t = {
+type hop_outcome = Delivered | Timed_out
+
+type hop_wait = src:int -> dst:int -> kind:string -> outcome:hop_outcome -> unit
+
+(* One deferred notification, pooled. All fields are dummies while the
+   record sits in the free pool. *)
+type pending = {
+  mutable p_src : int;
+  mutable p_dst : int;
+  mutable p_kind : string;
+  mutable p_expect : Position.t option;
+  mutable p_f : (Node.t -> unit) option;
+}
+
+(* Protocol state: everything [save] writes, so nothing here may hold a
+   closure once the deferred queue is drained. *)
+type state = {
   bus : Bus.t;
   peers : (int, Node.t) Hashtbl.t;
   positions : (int * int, int) Hashtbl.t;
@@ -33,207 +48,179 @@ type t = {
   mutable retry_limit : int;
   suspicions : (int, int) Hashtbl.t;
   mutable suspicion_repair : bool;
-  (* Optional telemetry recorder. Purely an observer: it subscribes to
-     the bus for hops and is told about operation boundaries and
-     retry/timeout events, but never sends a message itself, so
-     enabling it cannot change [Metrics.total]. *)
-  mutable recorder : Recorder.t option;
-  (* Optional causal trace collector. Like the recorder, a pure
-     observer: operations open trace episodes, [send_raw] stamps every
-     transmitted message with a causal context, and the collector
-     reconstructs the hop DAG afterwards. Enabling it cannot change
-     [Metrics.total] — no message is sent and no protocol PRNG is
-     consulted on its behalf. *)
-  mutable tracer : Trace.t option;
-  (* Optional simulator self-profiler. A third pure observer, but
-     pointed the other way: it meters the *process* (wall-clock cost of
-     hot regions, GC pressure), never the simulated world. Installing
-     it wires a delivery probe into the bus and lets the protocol hot
-     paths time themselves via [profile]; removing it restores the
-     probe-free fast path. *)
-  mutable profiler : Profile.t option;
-  (* Optional demand-heat instrument. A fourth pure observer: every
-     *delivered* message is attributed to the handling peer's heat
-     class by kind ([send_raw] and [apply_notification]), and the
-     protocol layer promotes terminal hops to [serve] and records key
-     accesses. Nothing here sends a message or consults a protocol
-     PRNG, so heat on vs. off leaves [Metrics.total] and the latency
-     digests byte-identical. *)
-  mutable heat : Heat.t option;
-  (* Hop-suspension hook for the concurrent runtime: called after every
-     transmitted protocol message so the runtime can suspend the
-     running operation until the simulated delivery (or timeout)
-     instant. [None] — the default — keeps every operation synchronous,
-     exactly the pre-runtime behaviour. *)
-  mutable hop_wait : hop_wait option;
-  (* Critical section for suspicion-triggered repairs. Under the
-     concurrent runtime, several fibers can observe dead peers at the
-     same (virtual) time and each would start a structural repair; the
-     driver installs its membership lock here so repairs serialize with
-     each other and with joins/leaves instead of interleaving
-     mutations. [None] — the default — runs repairs inline, the
-     synchronous behaviour. *)
-  mutable repair_serializer : ((unit -> unit) -> unit) option;
   (* Adaptive route cache: [None] disables caching network-wide and the
      per-node caches stay empty, making the disabled network
      behaviourally identical to one built before the cache existed. *)
   mutable cache_capacity : int option;
 }
 
-and hop_outcome = Delivered | Timed_out
-
-(* One deferred notification, pooled. All fields are dummies while the
-   record sits in the free pool. *)
-and pending = {
-  mutable p_src : int;
-  mutable p_dst : int;
-  mutable p_kind : string;
-  mutable p_expect : Position.t option;
-  mutable p_f : (Node.t -> unit) option;
+(* Observers and runtime seams. They hold closures, so they live apart
+   from [state] and are never marshalled: [save] leaves them attached
+   and [load] starts with none. Every observer is pure — it sends no
+   message and consults no protocol PRNG — so installing one cannot
+   change [Metrics.total]. *)
+type hooks = {
+  (* Causal trace collector: operations open episodes, [send_raw]
+     stamps every transmitted message with a causal context. *)
+  mutable tracer : Trace.t option;
+  (* Simulator self-profiler: meters the process (wall-clock cost of
+     hot regions, GC pressure), never the simulated world. *)
+  mutable profiler : Profile.t option;
+  (* Demand heat: every delivered message is attributed to the handling
+     peer's class by kind, and the protocol layer promotes terminal
+     hops to [serve] and records key accesses. *)
+  mutable heat : Heat.t option;
+  (* Hop suspension for the concurrent runtime: called after every
+     transmitted protocol message so the runtime can suspend the
+     running operation until the simulated delivery (or timeout)
+     instant. [None] keeps every operation synchronous. *)
+  mutable hop_wait : hop_wait option;
+  (* Critical section for suspicion-triggered repairs: the driver
+     installs its membership lock here so concurrent repairs serialize
+     with each other and with joins/leaves. [None] runs them inline. *)
+  mutable repair_serializer : ((unit -> unit) -> unit) option;
 }
 
-and hop_wait = src:int -> dst:int -> kind:string -> outcome:hop_outcome -> unit
+type t = { st : state; hooks : hooks }
+
+let no_hooks () =
+  {
+    tracer = None;
+    profiler = None;
+    heat = None;
+    hop_wait = None;
+    repair_serializer = None;
+  }
 
 let default_retry_limit = 3
 let default_cache_capacity = 128
 
 let create ?(seed = 42) ~domain () =
   {
-    bus =
-      (let bus = Bus.create () in
-       (* Cache traffic pays its way on the bus but accumulates apart
-          from the paper's message total. *)
-       List.iter (Metrics.mark_aux (Bus.metrics bus)) Msg.cache_kinds;
-       bus);
-    peers = Hashtbl.create 4096;
-    positions = Hashtbl.create 4096;
-    id_list = Dyn_array.create ();
-    id_index = Hashtbl.create 4096;
-    rng = Rng.create seed;
-    domain;
-    next_id = 0;
-    defer = false;
-    deferred = Dyn_array.create ();
-    pool = Dyn_array.create ();
-    shifts = Histogram.create ();
-    retry_limit = default_retry_limit;
-    suspicions = Hashtbl.create 64;
-    suspicion_repair = false;
-    recorder = None;
-    tracer = None;
-    profiler = None;
-    heat = None;
-    hop_wait = None;
-    repair_serializer = None;
-    cache_capacity = None;
+    st =
+      {
+        bus =
+          (let bus = Bus.create () in
+           (* Cache traffic pays its way on the bus but accumulates apart
+              from the paper's message total. *)
+           List.iter (Metrics.mark_aux (Bus.metrics bus)) Msg.cache_kinds;
+           bus);
+        peers = Hashtbl.create 4096;
+        positions = Hashtbl.create 4096;
+        id_list = Dyn_array.create ();
+        id_index = Hashtbl.create 4096;
+        rng = Rng.create seed;
+        domain;
+        next_id = 0;
+        defer = false;
+        deferred = Dyn_array.create ();
+        pool = Dyn_array.create ();
+        shifts = Histogram.create ();
+        retry_limit = default_retry_limit;
+        suspicions = Hashtbl.create 64;
+        suspicion_repair = false;
+        cache_capacity = None;
+      };
+    hooks = no_hooks ();
   }
 
-let bus t = t.bus
-let metrics t = Bus.metrics t.bus
-let rng t = t.rng
-let domain t = t.domain
+let bus t = t.st.bus
+let metrics t = Bus.metrics t.st.bus
+let rng t = t.st.rng
+let domain t = t.st.domain
 
 let key (pos : Position.t) = (pos.Position.level, pos.Position.number)
 
-let size t = Hashtbl.length t.peers - Bus.failed_count t.bus
+let size t = Hashtbl.length t.st.peers - Bus.failed_count t.st.bus
 
 let fresh_id t =
-  let id = t.next_id in
-  t.next_id <- id + 1;
+  let id = t.st.next_id in
+  t.st.next_id <- id + 1;
   id
 
 let register t (node : Node.t) =
-  if Hashtbl.mem t.peers node.Node.id then
+  if Hashtbl.mem t.st.peers node.Node.id then
     invalid_arg "Net.register: peer id already registered";
-  if Hashtbl.mem t.positions (key node.Node.pos) then
+  if Hashtbl.mem t.st.positions (key node.Node.pos) then
     invalid_arg "Net.register: position occupied";
-  Hashtbl.add t.peers node.Node.id node;
-  Hashtbl.add t.positions (key node.Node.pos) node.Node.id;
-  Hashtbl.replace t.id_index node.Node.id (Dyn_array.length t.id_list);
-  Dyn_array.push t.id_list node.Node.id
+  Hashtbl.add t.st.peers node.Node.id node;
+  Hashtbl.add t.st.positions (key node.Node.pos) node.Node.id;
+  Hashtbl.replace t.st.id_index node.Node.id (Dyn_array.length t.st.id_list);
+  Dyn_array.push t.st.id_list node.Node.id
 
 let unregister t (node : Node.t) =
-  Hashtbl.remove t.peers node.Node.id;
-  (match Hashtbl.find_opt t.positions (key node.Node.pos) with
-  | Some id when id = node.Node.id -> Hashtbl.remove t.positions (key node.Node.pos)
+  Hashtbl.remove t.st.peers node.Node.id;
+  (match Hashtbl.find_opt t.st.positions (key node.Node.pos) with
+  | Some id when id = node.Node.id -> Hashtbl.remove t.st.positions (key node.Node.pos)
   | Some _ | None -> ());
-  (match Hashtbl.find_opt t.id_index node.Node.id with
+  (match Hashtbl.find_opt t.st.id_index node.Node.id with
   | Some i ->
     (* Swap-remove from the dense id array. *)
-    let last = Dyn_array.pop t.id_list in
+    let last = Dyn_array.pop t.st.id_list in
     if last <> node.Node.id then begin
-      Dyn_array.set t.id_list i last;
-      Hashtbl.replace t.id_index last i
+      Dyn_array.set t.st.id_list i last;
+      Hashtbl.replace t.st.id_index last i
     end;
-    Hashtbl.remove t.id_index node.Node.id
+    Hashtbl.remove t.st.id_index node.Node.id
   | None -> ());
-  Bus.revive t.bus node.Node.id
+  Bus.revive t.st.bus node.Node.id
 
 let reposition t (node : Node.t) pos =
-  (match Hashtbl.find_opt t.positions (key node.Node.pos) with
-  | Some id when id = node.Node.id -> Hashtbl.remove t.positions (key node.Node.pos)
+  (match Hashtbl.find_opt t.st.positions (key node.Node.pos) with
+  | Some id when id = node.Node.id -> Hashtbl.remove t.st.positions (key node.Node.pos)
   | Some _ | None -> ());
-  if Hashtbl.mem t.positions (key pos) then
+  if Hashtbl.mem t.st.positions (key pos) then
     invalid_arg "Net.reposition: position occupied";
   node.Node.pos <- pos;
   Node.bump_epoch node;
-  Hashtbl.add t.positions (key pos) node.Node.id
+  Hashtbl.add t.st.positions (key pos) node.Node.id
 
 let bootstrap t =
-  if Hashtbl.length t.peers <> 0 then
+  if Hashtbl.length t.st.peers <> 0 then
     invalid_arg "Net.bootstrap: network is not empty";
-  let node = Node.create ~id:(fresh_id t) ~pos:Position.root ~range:t.domain in
+  let node = Node.create ~id:(fresh_id t) ~pos:Position.root ~range:t.st.domain in
   register t node;
   node
 
-let peer t id = Hashtbl.find t.peers id
-let peer_opt t id = Hashtbl.find_opt t.peers id
+let peer t id = Hashtbl.find t.st.peers id
+let peer_opt t id = Hashtbl.find_opt t.st.peers id
 
 let peer_at t pos =
-  match Hashtbl.find_opt t.positions (key pos) with
+  match Hashtbl.find_opt t.st.positions (key pos) with
   | Some id -> peer_opt t id
   | None -> None
 
 let root t = peer_at t Position.root
 
-let peers t = Hashtbl.fold (fun _ node acc -> node :: acc) t.peers []
+let peers t = Hashtbl.fold (fun _ node acc -> node :: acc) t.st.peers []
 
 let live_ids t =
   Hashtbl.fold
-    (fun id _ acc -> if Bus.is_failed t.bus id then acc else id :: acc)
-    t.peers []
+    (fun id _ acc -> if Bus.is_failed t.st.bus id then acc else id :: acc)
+    t.st.peers []
   |> List.sort compare |> Array.of_list
 
 let random_peer t =
-  let total = Dyn_array.length t.id_list in
+  let total = Dyn_array.length t.st.id_list in
   if total = 0 then invalid_arg "Net.random_peer: empty network";
-  if Bus.failed_count t.bus >= total then
+  if Bus.failed_count t.st.bus >= total then
     invalid_arg "Net.random_peer: no live peer";
   let rec draw () =
-    let id = Dyn_array.get t.id_list (Rng.int t.rng total) in
-    if Bus.is_failed t.bus id then draw () else peer t id
+    let id = Dyn_array.get t.st.id_list (Rng.int t.st.rng total) in
+    if Bus.is_failed t.st.bus id then draw () else peer t id
   in
   draw ()
 
-(* --- Telemetry ---------------------------------------------------- *)
-
-let set_recorder t r =
-  (match t.recorder with Some old -> Recorder.detach old | None -> ());
-  (match r with Some r -> Recorder.attach r t.bus | None -> ());
-  t.recorder <- r
-
-let recorder t = t.recorder
-
 (* --- Causal tracing ------------------------------------------------ *)
 
-let set_tracer t tr = t.tracer <- tr
-let tracer t = t.tracer
+let set_tracer t tr = t.hooks.tracer <- tr
+let tracer t = t.hooks.tracer
 
 (* --- Self-profiling ------------------------------------------------ *)
 
 let set_profiler t p =
-  t.profiler <- p;
-  Bus.set_probe t.bus
+  t.hooks.profiler <- p;
+  Bus.set_probe t.st.bus
     (match p with
     | None -> None
     | Some prof ->
@@ -243,12 +230,12 @@ let set_profiler t p =
           after = (fun () -> Profile.leave prof Profile.s_delivery);
         })
 
-let profiler t = t.profiler
+let profiler t = t.hooks.profiler
 
 (* --- Demand heat ---------------------------------------------------- *)
 
-let set_heat t h = t.heat <- h
-let heat t = t.heat
+let set_heat t h = t.hooks.heat <- h
+let heat t = t.hooks.heat
 
 (* Default heat class of a delivered message, by kind: cache traffic
    is [Aux], tree maintenance is [Maint], everything else — the demand
@@ -264,7 +251,7 @@ let heat_class kind =
    instrument is installed, so the uninstrumented hot path pays one
    match. *)
 let heat_hop t ~dst ~kind =
-  match t.heat with
+  match t.hooks.heat with
   | None -> ()
   | Some h -> Heat.hop h ~peer:dst (heat_class kind)
 
@@ -272,22 +259,22 @@ let heat_hop t ~dst ~kind =
    default class to [serve]. Used by {!Search} and {!Update} at the
    points where "this peer owns the answer" becomes known. *)
 let heat_serve t ~peer ~kind =
-  match t.heat with
+  match t.hooks.heat with
   | None -> ()
   | Some h -> Heat.promote h ~peer ~was:(heat_class kind)
 
 let heat_access t ~peer key =
-  match t.heat with None -> () | Some h -> Heat.access h ~peer key
+  match t.hooks.heat with None -> () | Some h -> Heat.access h ~peer key
 
 let heat_access_range t ~peer ~lo ~hi =
-  match t.heat with None -> () | Some h -> Heat.access_range h ~peer ~lo ~hi
+  match t.hooks.heat with None -> () | Some h -> Heat.access_range h ~peer ~lo ~hi
 
 (* Time a protocol hot region when a profiler is installed; otherwise
    one match and straight into [f]. Regions that suspend under the
    concurrent runtime accumulate inclusive wall time (see
    [Profile]) — still a pure observation either way. *)
 let profile t name f =
-  match t.profiler with None -> f () | Some p -> Profile.wrap p name f
+  match t.hooks.profiler with None -> f () | Some p -> Profile.wrap p name f
 
 (* Ambient-causality snapshot for the concurrent runtime: opaque, and
    free when no tracer is installed. The runtime captures a mark at
@@ -295,10 +282,10 @@ let profile t name f =
    interleaved operations cannot clobber each other's causal state. *)
 type trace_mark = Trace.mark option
 
-let trace_mark t = Option.map Trace.save t.tracer
+let trace_mark t = Option.map Trace.save t.hooks.tracer
 
 let restore_trace_mark t m =
-  match (t.tracer, m) with
+  match (t.hooks.tracer, m) with
   | Some tr, Some m -> Trace.restore tr m
   | _ -> ()
 
@@ -335,44 +322,34 @@ let peer_level t id =
   | None -> -1
 
 let with_op t ~kind f =
-  let recorded () =
-    match t.recorder with None -> f () | Some r -> Recorder.with_op r ~kind f
-  in
-  match t.tracer with
-  | None -> recorded ()
-  | Some tr -> Trace.with_episode tr ~op:kind recorded
+  match t.hooks.tracer with
+  | None -> f ()
+  | Some tr -> Trace.with_episode tr ~op:kind f
 
-let obs_note ?peer t name =
-  match t.recorder with None -> () | Some r -> Recorder.note ?peer r name
-
-(* One simulator event, visible to both instruments: the aggregate
-   [Metrics] event counter and (when present) the span recorder. *)
-let event ?peer t name =
-  Metrics.event (Bus.metrics t.bus) name;
-  obs_note ?peer t name
+let event t name = Metrics.event (Bus.metrics t.st.bus) name
 
 let set_retry_limit t n =
   if n < 0 then invalid_arg "Net.set_retry_limit: negative";
-  t.retry_limit <- n
+  t.st.retry_limit <- n
 
-let retry_limit t = t.retry_limit
+let retry_limit t = t.st.retry_limit
 
-let set_hop_wait t w = t.hop_wait <- w
-let hop_wait t = t.hop_wait
+let set_hop_wait t w = t.hooks.hop_wait <- w
+let hop_wait t = t.hooks.hop_wait
 
-let set_repair_serializer t s = t.repair_serializer <- s
+let set_repair_serializer t s = t.hooks.repair_serializer <- s
 
 (* Run a structural repair inside the installed critical section (the
    driver's membership lock), or inline when none is installed. *)
 let serialize_repair t f =
-  match t.repair_serializer with None -> f () | Some s -> s f
+  match t.hooks.repair_serializer with None -> f () | Some s -> s f
 
 (* Tell the runtime (when one drives this network) that a message was
    transmitted, so it can charge delivery latency — or a timeout
    interval — to the running operation's critical path. A no-op in
    synchronous runs. *)
 let wait_hop t ~src ~dst ~kind outcome =
-  match t.hop_wait with
+  match t.hooks.hop_wait with
   | None -> ()
   | Some w -> w ~src ~dst ~kind ~outcome
 
@@ -385,12 +362,12 @@ let wait_hop t ~src ~dst ~kind outcome =
    runtime's clock, so the hop hook fires before the exception
    escapes. *)
 let send_raw t ~src ~dst ~kind =
-  let ev = Bus.metrics t.bus in
+  let ev = Bus.metrics t.st.bus in
   (* Classified once, before the first transmission: the links that
      explain the route choice are the ones in place when the sender
      picked the destination. Pure reads — tracing consults no PRNG. *)
   let link, dst_level =
-    match t.tracer with
+    match t.hooks.tracer with
     | None -> (Msg.link_other, -1)
     | Some _ -> (link_kind t ~src ~dst ~kind, peer_level t dst)
   in
@@ -399,18 +376,18 @@ let send_raw t ~src ~dst ~kind =
        is a sibling of the attempt that timed out, not its child — the
        failed attempt caused nothing downstream. *)
     let ctx, sent =
-      match t.tracer with
+      match t.hooks.tracer with
       | None -> (None, 0.)
       | Some tr -> (Trace.next_ctx tr, Trace.time tr)
     in
     let record outcome =
-      match (t.tracer, ctx) with
+      match (t.hooks.tracer, ctx) with
       | Some tr, Some ctx ->
         Trace.record tr ~ctx ~src ~dst ~msg:kind ~link ~dst_level ~sent
           ~outcome
       | _ -> ()
     in
-    match Bus.send ?ctx t.bus ~src ~dst ~kind with
+    match Bus.send ?ctx t.st.bus ~src ~dst ~kind with
     | () ->
       wait_hop t ~src ~dst ~kind Delivered;
       heat_hop t ~dst ~kind;
@@ -418,18 +395,16 @@ let send_raw t ~src ~dst ~kind =
          under the runtime's clock; the delivered message becomes the
          ambient causal parent of whatever the receiver does next. *)
       record Trace.Delivered;
-      (match (t.tracer, ctx) with
+      (match (t.hooks.tracer, ctx) with
       | Some tr, Some ctx -> Trace.advance tr ctx
       | _ -> ())
-    | exception Bus.Timeout _ when k < t.retry_limit ->
+    | exception Bus.Timeout _ when k < t.st.retry_limit ->
       Metrics.event ev Msg.ev_retry;
-      (match t.recorder with Some r -> Recorder.retry r ~peer:dst | None -> ());
       wait_hop t ~src ~dst ~kind Timed_out;
       record Trace.Timed_out;
       attempt (k + 1)
     | exception (Bus.Timeout _ as e) ->
       Metrics.event ev Msg.ev_give_up;
-      obs_note ~peer:dst t Msg.ev_give_up;
       wait_hop t ~src ~dst ~kind Timed_out;
       record Trace.Timed_out;
       raise e
@@ -445,32 +420,32 @@ let send t ~src ~dst ~kind =
   peer t dst
 
 let suspect t id =
-  let n = 1 + (match Hashtbl.find_opt t.suspicions id with Some c -> c | None -> 0) in
-  Hashtbl.replace t.suspicions id n;
+  let n = 1 + (match Hashtbl.find_opt t.st.suspicions id with Some c -> c | None -> 0) in
+  Hashtbl.replace t.st.suspicions id n;
   n
 
-let clear_suspicion t id = Hashtbl.remove t.suspicions id
+let clear_suspicion t id = Hashtbl.remove t.st.suspicions id
 
-let set_suspicion_repair t flag = t.suspicion_repair <- flag
-let suspicion_repair t = t.suspicion_repair
+let set_suspicion_repair t flag = t.st.suspicion_repair <- flag
+let suspicion_repair t = t.st.suspicion_repair
 
 (* --- Route cache --------------------------------------------------- *)
 
 let enable_route_cache ?(capacity = default_cache_capacity) t =
   if capacity <= 0 then invalid_arg "Net.enable_route_cache: capacity <= 0";
-  t.cache_capacity <- Some capacity
+  t.st.cache_capacity <- Some capacity
 
 let disable_route_cache t =
-  t.cache_capacity <- None;
+  t.st.cache_capacity <- None;
   (* Flush every peer's cache so a disabled network is indistinguishable
      from one where the cache never existed. *)
-  Hashtbl.iter (fun _ (n : Node.t) -> Route_cache.clear n.Node.cache) t.peers
+  Hashtbl.iter (fun _ (n : Node.t) -> Route_cache.clear n.Node.cache) t.st.peers
 
-let route_cache_enabled t = Option.is_some t.cache_capacity
-let route_cache_capacity t = t.cache_capacity
+let route_cache_enabled t = Option.is_some t.st.cache_capacity
+let route_cache_capacity t = t.st.cache_capacity
 
 let apply_notification t ~src ~dst ~kind ~expect_pos f =
-  let ev name = event ~peer:dst t name in
+  let ev name = event t name in
   (* Notifications are one-way cache refreshes: fire-and-forget, no
      retransmission. A lost one just widens the staleness window that
      the dynamics experiment measures; it is counted as an event so the
@@ -481,12 +456,12 @@ let apply_notification t ~src ~dst ~kind ~expect_pos f =
      them. Deferred notifications run at flush time, outside the
      episode that queued them, and stay untraced. *)
   let ctx, sent =
-    match t.tracer with
+    match t.hooks.tracer with
     | None -> (None, 0.)
     | Some tr -> (Trace.next_ctx tr, Trace.time tr)
   in
   let record outcome =
-    match (t.tracer, ctx) with
+    match (t.hooks.tracer, ctx) with
     | Some tr, Some ctx ->
       Trace.record tr ~ctx ~src ~dst ~msg:kind
         ~link:(link_kind t ~src ~dst ~kind) ~dst_level:(peer_level t dst)
@@ -497,13 +472,13 @@ let apply_notification t ~src ~dst ~kind ~expect_pos f =
   | None ->
     (* The destination left the network: the message is still sent (and
        counted); it is simply never acted upon. *)
-    (match Bus.send ?ctx t.bus ~src ~dst ~kind with
+    (match Bus.send ?ctx t.st.bus ~src ~dst ~kind with
     | () -> record Trace.Delivered
     | exception Bus.Unreachable _ -> record Trace.Unreachable
     | exception Bus.Timeout _ -> record Trace.Timed_out);
     ev Msg.ev_notify_dropped
   | Some node -> (
-    match Bus.send ?ctx t.bus ~src ~dst ~kind with
+    match Bus.send ?ctx t.st.bus ~src ~dst ~kind with
     | () -> (
       record Trace.Delivered;
       (* The peer handled the notification (even if only to ignore a
@@ -524,30 +499,30 @@ let apply_notification t ~src ~dst ~kind ~expect_pos f =
       ev Msg.ev_notify_dropped)
 
 let notify ?expect_pos t ~src ~dst ~kind f =
-  if t.defer then begin
+  if t.st.defer then begin
     let p =
-      if Dyn_array.is_empty t.pool then
+      if Dyn_array.is_empty t.st.pool then
         { p_src = 0; p_dst = 0; p_kind = ""; p_expect = None; p_f = None }
-      else Dyn_array.pop t.pool
+      else Dyn_array.pop t.st.pool
     in
     p.p_src <- src;
     p.p_dst <- dst;
     p.p_kind <- kind;
     p.p_expect <- expect_pos;
     p.p_f <- Some f;
-    Dyn_array.push t.deferred p
+    Dyn_array.push t.st.deferred p
   end
   else apply_notification t ~src ~dst ~kind ~expect_pos f
 
-let set_defer t flag = t.defer <- flag
-let deferring t = t.defer
+let set_defer t flag = t.st.defer <- flag
+let deferring t = t.st.defer
 
 let flush_deferred t =
   (* Notifications may enqueue follow-ups while flushing; drain fully. *)
-  t.defer <- false;
-  while not (Dyn_array.is_empty t.deferred) do
-    let batch = Dyn_array.to_array t.deferred in
-    Dyn_array.clear t.deferred;
+  t.st.defer <- false;
+  while not (Dyn_array.is_empty t.st.deferred) do
+    let batch = Dyn_array.to_array t.st.deferred in
+    Dyn_array.clear t.st.deferred;
     Array.iter
       (fun p ->
         let f = Option.get p.p_f in
@@ -560,57 +535,28 @@ let flush_deferred t =
         p.p_f <- None;
         p.p_kind <- "";
         p.p_expect <- None;
-        Dyn_array.push t.pool p;
+        Dyn_array.push t.st.pool p;
         apply_notification t ~src ~dst ~kind ~expect_pos f)
       batch
   done
 
-let record_shift t n = Histogram.add t.shifts n
-let shift_histogram t = t.shifts
+let record_shift t n = Histogram.add t.st.shifts n
+let shift_histogram t = t.st.shifts
 
 (* Snapshot format: a magic string (to fail fast on foreign files)
-   followed by the marshalled record. The record holds no closures once
-   the deferred queue is empty and the bus trace hook is cleared. *)
-let snapshot_magic = "BATON-NET-v7"
+   followed by the marshalled protocol state. Hooks are never written,
+   so adding an observer never changes the format. *)
+let snapshot_magic = "BATON-NET-v8"
 
 let save t path =
-  if not (Baton_util.Dyn_array.is_empty t.deferred) then
+  if not (Dyn_array.is_empty t.st.deferred) then
     invalid_arg "Net.save: deferred notifications pending";
-  (* Observers hold closures, which cannot be marshalled: drop them.
-     On success they stay dropped — a loaded network starts unobserved
-     (and synchronous), like a fresh one, and saving is the same
-     handoff point. If the save fails, though, every observer is
-     reattached before the error escapes, so a failed save never
-     silently blinds telemetry on a network that keeps running. *)
-  let recorder0 = t.recorder
-  and tracer0 = t.tracer
-  and profiler0 = t.profiler
-  and heat0 = t.heat
-  and hop_wait0 = t.hop_wait
-  and serializer0 = t.repair_serializer in
-  set_recorder t None;
-  set_tracer t None;
-  set_profiler t None;
-  set_heat t None;
-  set_hop_wait t None;
-  set_repair_serializer t None;
-  Bus.clear_subscribers t.bus;
-  try
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc snapshot_magic;
-        Marshal.to_channel oc t [])
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    set_recorder t recorder0;
-    set_tracer t tracer0;
-    set_profiler t profiler0;
-    set_heat t heat0;
-    set_hop_wait t hop_wait0;
-    set_repair_serializer t serializer0;
-    Printexc.raise_with_backtrace e bt
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc snapshot_magic;
+      Marshal.to_channel oc { t.st with bus = Bus.unhooked t.st.bus } [])
 
 exception Incompatible_snapshot of { found : string; expected : string }
 
@@ -640,4 +586,4 @@ let load path =
           raise
             (Incompatible_snapshot { found = magic; expected = snapshot_magic })
         else failwith "Net.load: not a BATON snapshot";
-      (Marshal.from_channel ic : t))
+      { st = (Marshal.from_channel ic : state); hooks = no_hooks () })

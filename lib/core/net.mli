@@ -72,45 +72,41 @@ val send_raw : t -> src:int -> dst:int -> kind:string -> unit
     map mid-protocol.
     @raise Baton_sim.Bus.Unreachable / [Timeout] as {!send}. *)
 
-(** {1 Telemetry}
+(** {1 Hooks}
 
-    An optional {!Baton_obs.Recorder} observes the network: bus hops
-    arrive via a bus subscription, operation boundaries and
-    retry/timeout events via the hooks below. The recorder is purely
-    an observer — attaching one never sends a message, so
-    [Metrics.total] is unchanged whether it is on or off. *)
+    Observers (tracer, profiler, heat) and runtime seams (hop wait,
+    repair serializer) live in one hooks record beside the protocol
+    state. Hooks hold closures and are never marshalled: {!save} writes
+    the state alone and leaves every hook attached, {!load} returns a
+    network with none. Each observer is pure — it sends nothing and
+    consults no protocol PRNG — so installing one never changes
+    [Metrics.total].
 
-val set_recorder : t -> Baton_obs.Recorder.t option -> unit
-(** Install (attaching it to the bus) or remove the recorder. *)
+    {2 Causal tracing}
 
-val recorder : t -> Baton_obs.Recorder.t option
+    An optional {!Baton_obs.Trace} collector is the per-operation
+    model: it turns every operation run under {!with_op} into one
+    episode, a causal tree in which each transmitted message carries a
+    {!Baton_sim.Bus.trace_ctx} naming the episode, its own span and the
+    span that caused it. Same-seed runs count byte-identical [Metrics]
+    with tracing on or off. *)
 
 val with_op : t -> kind:string -> (unit -> 'a) -> 'a
-(** Run [f] inside a recorded operation span of the given kind {e and}
-    a causal trace episode (when a tracer is installed); a no-op
-    wrapper when neither observer is present. Protocol entry points
-    (search, join, leave, repair...) wrap themselves with this. *)
-
-(** {1 Causal tracing}
-
-    An optional {!Baton_obs.Trace} collector turns every operation run
-    under {!with_op} into a causal tree: each transmitted message
-    carries a {!Baton_sim.Bus.trace_ctx} naming the episode, its own
-    span and the span that caused it. Like the recorder, the tracer is
-    purely an observer — it sends nothing and consults no protocol
-    PRNG, so same-seed runs count byte-identical [Metrics] with tracing
-    on or off. *)
+(** Run [f] as one trace episode of kind [kind] ({!Msg.op_exact} …)
+    when a tracer is installed; just [f ()] otherwise. Protocol entry
+    points (search, join, leave, repair...) wrap themselves with this;
+    a nested call joins the episode already open. *)
 
 val set_tracer : t -> Baton_obs.Trace.t option -> unit
 val tracer : t -> Baton_obs.Trace.t option
 
-(** {1 Self-profiling}
+(** {2 Self-profiling}
 
     An optional {!Baton_obs.Profile} meters the {e simulator process}:
     wall-clock cost of the protocol hot regions and of bus delivery
     (via a {!Baton_sim.Bus.probe} this installs), GC pressure, raw
-    event throughput. The mirror image of the recorder/tracer — it
-    observes the machine, never the simulated world: probes send
+    event throughput. The mirror image of the tracer — it observes the
+    machine, never the simulated world: probes send
     nothing, consult no PRNG and read no virtual clock, so same-seed
     runs count byte-identical [Metrics] and latency digests with
     profiling on or off (guard-tested). Its numbers are inherently
@@ -118,12 +114,11 @@ val tracer : t -> Baton_obs.Trace.t option
 
 val set_profiler : t -> Baton_obs.Profile.t option -> unit
 (** Install the profiler (wiring the bus delivery probe) or remove it
-    (restoring the probe-free fast path). Detached by {!save} like
-    every observer. *)
+    (restoring the probe-free fast path). *)
 
 val profiler : t -> Baton_obs.Profile.t option
 
-(** {1 Demand heat}
+(** {2 Demand heat}
 
     An optional {!Baton_obs.Heat} instrument attributes every
     {e delivered} message to the peer that handled it: cache kinds
@@ -136,8 +131,7 @@ val profiler : t -> Baton_obs.Profile.t option
     peers, are never attributed: nobody handled them. A fourth pure
     observer — it sends nothing and consults no protocol PRNG, so heat
     on vs. off leaves [Metrics.total] and the latency digests
-    byte-identical (guard-tested). Detached by {!save} like every
-    observer. *)
+    byte-identical (guard-tested). *)
 
 val set_heat : t -> Baton_obs.Heat.t option -> unit
 val heat : t -> Baton_obs.Heat.t option
@@ -180,15 +174,10 @@ val link_kind : t -> src:int -> dst:int -> kind:string -> string
     ({!Msg.link_parent} … {!Msg.link_other}), from the sender's links
     as they currently stand. Exposed for the CLI's trace renderer. *)
 
-val event : ?peer:int -> t -> string -> unit
-(** Count one named simulator event in {!metrics} {e and} note it on
-    the recorder's current span (when one is installed). *)
+val event : t -> string -> unit
+(** Count one named simulator event ({!Msg.ev_retry} …) in {!metrics}. *)
 
-val obs_note : ?peer:int -> t -> string -> unit
-(** Note an event on the recorder only (no metrics counter) — for
-    observations that are already counted elsewhere. *)
-
-(** {1 Hop suspension}
+(** {2 Hop suspension}
 
     The concurrent runtime ({!Baton_runtime}) installs a hook that is
     called after {e every} transmitted protocol message — each delivery
@@ -223,8 +212,7 @@ val set_repair_serializer : t -> ((unit -> unit) -> unit) option -> unit
     and each would start a structural repair; a workload harness
     installs its membership lock here so repairs serialize with each
     other and with joins/leaves. [None] (default) runs repairs inline —
-    the synchronous behaviour. The installed closure is dropped by
-    {!save}, like every observer. *)
+    the synchronous behaviour. *)
 
 val serialize_repair : t -> (unit -> unit) -> unit
 (** Run a repair inside the installed critical section (inline when
@@ -299,16 +287,16 @@ val save : t -> string -> unit
 (** Snapshot the whole network (peers, positions, data, counters, PRNG
     state) to a file, so an expensive build can be reused across runs.
     The network must be quiescent: deferred notifications pending from
-    {!set_defer} cannot be serialised. Observers (recorder, tracer,
-    profiler, heat, hop-wait hook, bus subscribers) hold closures and are detached
-    before marshalling; on success they stay detached, but if the save
-    fails they are all reattached before the exception escapes.
+    {!set_defer} cannot be serialised. Only protocol state is written:
+    hooks and bus subscribers stay attached to [t] whether the save
+    succeeds or fails.
     @raise Invalid_argument if deferred notifications are pending. *)
 
 val load : string -> t
 (** Restore a network saved by {!save}. The loaded network continues
     deterministically: running the same operations on the original and
     the restored network yields identical results and message counts.
+    The restored network has no hooks and no bus subscribers.
     @raise Incompatible_snapshot if the file is a BATON snapshot of a
     different format version.
     @raise Failure if the file is not a BATON snapshot at all. *)

@@ -119,7 +119,7 @@ let split_with (x : Node.t) (y : Node.t) =
   Sorted_store.absorb y.Node.store moved
 
 let rec forced_join net ~parent:(x : Node.t) new_id =
-  Net.with_op net ~kind:Baton_obs.Span.restructure (fun () ->
+  Net.with_op net ~kind:Msg.op_restructure (fun () ->
       Net.profile net Baton_obs.Profile.s_restructure (fun () ->
           forced_join_run net ~parent:x new_id))
 
@@ -154,7 +154,7 @@ and forced_join_run net ~parent:(x : Node.t) new_id =
   end
 
 let rec forced_leave net (x : Node.t) =
-  Net.with_op net ~kind:Baton_obs.Span.restructure (fun () ->
+  Net.with_op net ~kind:Msg.op_restructure (fun () ->
       Net.profile net Baton_obs.Profile.s_restructure (fun () ->
           forced_leave_run net x))
 

@@ -1,6 +1,5 @@
 module Bus = Baton_sim.Bus
 module Metrics = Baton_sim.Metrics
-module Span = Baton_obs.Span
 module Sorted_store = Baton_util.Sorted_store
 
 type result = {
@@ -92,7 +91,6 @@ let exact_walk net ~kind ~from v =
           (* Fault tolerance (Section III-D): drop the dead link,
              reconstitute the missing links through the surviving
              neighbourhood, and route on; the detour costs messages. *)
-          Net.obs_note net ~peer:dead Span.n_unreachable;
           Failure.observe_unreachable net ~observer:node dead;
           Node.drop_links_for_peer node dead;
           Wiring.rebuild_links ~skip_failed:true net node ~kind;
@@ -100,7 +98,6 @@ let exact_walk net ~kind ~from v =
         | exception Bus.Timeout silent ->
           (* The peer may be alive behind a lossy link: keep the link,
              file a suspicion, and try the next-best candidate. *)
-          Net.obs_note net ~peer:silent Span.n_timeout;
           Failure.observe_timeout net ~observer:node silent;
           loop node (hops + 1) ~tried:(silent :: tried) ~arrived
         | exception Not_found ->
@@ -134,7 +131,7 @@ let cache_consult net ~(from : Node.t) v =
     | Some entry -> (
       let stale () =
         Route_cache.evict_peer from.Node.cache entry.Route_cache.peer;
-        Net.event net ~peer:entry.Route_cache.peer Msg.ev_cache_stale;
+        Net.event net Msg.ev_cache_stale;
         None
       in
       match
@@ -143,7 +140,7 @@ let cache_consult net ~(from : Node.t) v =
       with
       | node ->
         if Range.contains node.Node.range v then begin
-          Net.event net ~peer:node.Node.id Msg.ev_cache_hit;
+          Net.event net Msg.ev_cache_hit;
           (* Validated delivery doubles as a refresh. *)
           Route_cache.refresh_peer from.Node.cache ~peer:node.Node.id
             ~range:node.Node.range ~epoch:node.Node.epoch;
@@ -159,11 +156,9 @@ let cache_consult net ~(from : Node.t) v =
           stale ()
         end
       | exception Bus.Unreachable dead ->
-        Net.obs_note net ~peer:dead Span.n_unreachable;
         Failure.observe_unreachable net ~observer:from dead;
         stale ()
       | exception Bus.Timeout silent ->
-        Net.obs_note net ~peer:silent Span.n_timeout;
         Failure.observe_timeout net ~observer:from silent;
         stale ()
       | exception Not_found -> stale ()))
@@ -226,9 +221,9 @@ let measured net f =
     retries = Metrics.event_since m cp Msg.ev_retry;
   }
 
-(* A standalone exact-match query is its own span; walks on behalf of a
-   larger operation (range locate, insert, delete) are recorded under
-   that operation's span instead. *)
+(* A standalone exact-match query is its own episode; walks on behalf
+   of a larger operation (range locate, insert, delete) belong to that
+   operation's episode instead. *)
 let exact ?(kind = Msg.search_exact) net ~from v =
   let run () =
     measured net (fun () ->
@@ -259,7 +254,7 @@ let exact ?(kind = Msg.search_exact) net ~from v =
         })
   in
   if String.equal kind Msg.search_exact then
-    Net.with_op net ~kind:Span.exact run
+    Net.with_op net ~kind:Msg.op_exact run
   else run ()
 
 let lookup net ~from v =
@@ -353,13 +348,11 @@ let sweep net (node : Node.t) side ~lo ~hi =
           go next_node 0
         | exception Bus.Unreachable dead ->
           (* The peer is gone and its data with it. *)
-          Net.obs_note net ~peer:dead Span.n_unreachable;
           Failure.observe_unreachable net ~observer:n dead;
           bridge ~data_lost:true
         | exception Bus.Timeout silent ->
           (* Possibly alive behind a lossy link; its data may exist but
              cannot be fetched now, so the answer is partial. *)
-          Net.obs_note net ~peer:silent Span.n_timeout;
           Failure.observe_timeout net ~observer:n silent;
           bridge ~data_lost:true
         | exception Not_found ->
@@ -442,7 +435,7 @@ let range_walk ?par net ~from ~lo ~hi =
 
 let range ?par net ~from ~lo ~hi =
   if lo > hi then invalid_arg "Search.range: lo > hi";
-  Net.with_op net ~kind:Span.range (fun () ->
+  Net.with_op net ~kind:Msg.op_range (fun () ->
       measured net (fun () ->
           Net.profile net Baton_obs.Profile.s_range (fun () ->
               range_walk ?par net ~from ~lo ~hi)))

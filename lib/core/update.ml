@@ -3,7 +3,7 @@ module Sorted_store = Baton_util.Sorted_store
 type insert_stats = { node : int; hops : int; expanded : bool }
 
 let rec insert net ~from key =
-  Net.with_op net ~kind:Baton_obs.Span.insert (fun () -> insert_run net ~from key)
+  Net.with_op net ~kind:Msg.op_insert (fun () -> insert_run net ~from key)
 
 and insert_run net ~from key =
   let { Search.node; hops; _ } = Search.exact ~kind:Msg.insert net ~from key in
@@ -37,7 +37,7 @@ and insert_run net ~from key =
 type delete_stats = { node : int; hops : int; found : bool }
 
 let delete net ~from key =
-  Net.with_op net ~kind:Baton_obs.Span.delete (fun () ->
+  Net.with_op net ~kind:Msg.op_delete (fun () ->
       let { Search.node; hops; _ } =
         Search.exact ~kind:Msg.delete net ~from key
       in

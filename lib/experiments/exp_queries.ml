@@ -7,9 +7,9 @@ type point = {
   delete : float;
   exact : float;
   range : float;
-  (* Tail percentiles of per-operation hop counts, filled only when
-     [Params.telemetry] attaches a recorder (BATON runs only); the
-     mean columns above are computed exactly as before either way. *)
+  (* Tail percentiles of per-operation hop counts (BATON only), shown
+     when [Params.telemetry] is set; the mean columns above are the
+     same either way. *)
   exact_p95 : float;
   exact_p99 : float;
   range_p95 : float;
@@ -19,24 +19,20 @@ type point = {
 let no_tail = { insert = 0.; delete = 0.; exact = 0.; range = 0.;
                 exact_p95 = 0.; exact_p99 = 0.; range_p95 = 0.; range_p99 = 0. }
 
-let tail_percentile recorder kind p =
-  match Baton_obs.Recorder.digest recorder kind with
-  | None -> 0.
-  | Some d ->
-    let h = Baton_obs.Recorder.digest_hops d in
-    if Baton_util.Histogram.total h = 0 then 0.
-    else float_of_int (Baton_util.Histogram.percentile h p)
+(* Nearest-rank percentile of the operations' hop counts, a hop being a
+   first transmission: every message the operation paid, cache traffic
+   included, minus its retransmissions. *)
+let tail_percentile (results : Baton.Search.result array) p =
+  let h = Baton_util.Histogram.create () in
+  Array.iter
+    (fun (r : Baton.Search.result) ->
+      Baton_util.Histogram.add h (r.Baton.Search.msgs - r.Baton.Search.retries))
+    results;
+  if Baton_util.Histogram.total h = 0 then 0.
+  else float_of_int (Baton_util.Histogram.percentile h p)
 
 let baton_point ~seed ~n ~(p : Params.t) =
   let net, keys = Common.build_baton ~seed ~n ~keys_per_node:p.Params.keys_per_node () in
-  let recorder =
-    if p.Params.telemetry then begin
-      let r = Baton_obs.Recorder.create () in
-      Baton.Net.set_recorder net (Some r);
-      Some r
-    end
-    else None
-  in
   let rng = Rng.create (seed + 23) in
   let gen = Datagen.uniform (Rng.create (seed + 29)) in
   let q = p.Params.queries in
@@ -55,9 +51,7 @@ let baton_point ~seed ~n ~(p : Params.t) =
   in
   let exacts =
     Array.map
-      (fun k ->
-        let r = Baton.Search.lookup net ~from:(Baton.Net.random_peer net) k in
-        float_of_int r.Baton.Search.hops)
+      (fun k -> Baton.Search.lookup net ~from:(Baton.Net.random_peer net) k)
       (Querygen.exact_targets rng ~keys q)
   in
   let spans =
@@ -67,21 +61,22 @@ let baton_point ~seed ~n ~(p : Params.t) =
   let ranges =
     Array.map
       (fun { Querygen.lo; hi } ->
-        let r = Baton.Search.range net ~from:(Baton.Net.random_peer net) ~lo ~hi in
-        float_of_int r.Baton.Search.hops)
+        Baton.Search.range net ~from:(Baton.Net.random_peer net) ~lo ~hi)
       spans
   in
   let module S = Baton_util.Stats in
-  let tail kind p =
-    match recorder with None -> 0. | Some r -> tail_percentile r kind p
+  let mean_hops results =
+    S.mean
+      (Array.map
+         (fun (r : Baton.Search.result) -> float_of_int r.Baton.Search.hops)
+         results)
   in
-  Baton.Net.set_recorder net None;
-  { insert = S.mean inserts; delete = S.mean deletes; exact = S.mean exacts;
-    range = S.mean ranges;
-    exact_p95 = tail Baton_obs.Span.exact 95.;
-    exact_p99 = tail Baton_obs.Span.exact 99.;
-    range_p95 = tail Baton_obs.Span.range 95.;
-    range_p99 = tail Baton_obs.Span.range 99. }
+  { insert = S.mean inserts; delete = S.mean deletes; exact = mean_hops exacts;
+    range = mean_hops ranges;
+    exact_p95 = tail_percentile exacts 95.;
+    exact_p99 = tail_percentile exacts 99.;
+    range_p95 = tail_percentile ranges 95.;
+    range_p99 = tail_percentile ranges 99. }
 
 let chord_point ~seed ~n ~(p : Params.t) =
   let t, keys = Common.build_chord ~seed ~n ~keys_per_node:p.Params.keys_per_node in
@@ -159,7 +154,7 @@ let run (p : Params.t) =
   in
   let f = Table.cell_float and i = Table.cell_int in
   (* The telemetry columns ride alongside the paper's means; they exist
-     only when a recorder was attached, so the default tables are
+     only with [Params.telemetry], so the default tables are
      byte-identical to the pre-telemetry ones. *)
   let tail cols = if p.Params.telemetry then cols else [] in
   let fig8c =

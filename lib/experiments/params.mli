@@ -17,11 +17,10 @@ type t = {
   balance_capacity : int;  (** overload threshold for load balancing *)
   seed : int;
   telemetry : bool;
-      (** attach a {!Baton_obs.Recorder} to BATON runs and append
-          p95/p99 percentile columns to the query tables. Off in every
-          preset: percentile digests never perturb the mean columns or
-          [Metrics.total], but the paper's tables stay byte-identical
-          unless explicitly asked for. *)
+      (** append BATON p95/p99 hop-count columns, computed from each
+          query's result record, to the query tables. Off in every
+          preset, so the paper's tables stay byte-identical unless
+          explicitly asked for. *)
 }
 
 val quick : t

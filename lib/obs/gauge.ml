@@ -63,3 +63,16 @@ let samples t =
 
 let latest t =
   match samples t with [] -> None | l -> Some (List.nth l (List.length l - 1))
+
+let sample_json s =
+  Json.Obj
+    [
+      ("t", Json.Float s.time);
+      ("nodes", Json.Int s.nodes);
+      ("total", Json.Int s.total);
+      ("mean", Json.Float s.mean);
+      ("p50", Json.Int s.p50);
+      ("p95", Json.Int s.p95);
+      ("p99", Json.Int s.p99);
+      ("max", Json.Int s.max);
+    ]

@@ -33,3 +33,7 @@ val samples : t -> sample list
 (** Retained samples, oldest first. *)
 
 val latest : t -> sample option
+
+val sample_json : sample -> Json.t
+(** One sample as an object with the record's field names ([time] as
+    [t]). *)

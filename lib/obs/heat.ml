@@ -15,8 +15,8 @@
    - a space-saving top-k heavy-hitter sketch over accessed keys plus a
      fixed-resolution key-space histogram.
 
-   Like the recorder, tracer and profiler, a heat instrument is purely
-   an observer: nothing here sends a message, consults a protocol PRNG
+   Like the tracer and profiler, a heat instrument is purely an
+   observer: nothing here sends a message, consults a protocol PRNG
    or reads the wall clock — every input is an attribution event the
    protocols were already performing, and every calculation is exact
    integer/float arithmetic on those events. Installing one therefore

@@ -10,8 +10,8 @@
     per-peer demand feeds exponentially-decayed counters whose
     max/mean ratio is a recency-weighted skew.
 
-    A heat instrument is purely an observer, like the recorder, tracer
-    and profiler: it never sends a message, consults no protocol PRNG
+    A heat instrument is purely an observer, like the tracer and
+    profiler: it never sends a message, consults no protocol PRNG
     and reads no wall clock, so installing one leaves [Metrics.total]
     and the latency digests byte-identical (guard-tested), and
     same-seed runs export byte-identical heat reports — the sketch
@@ -121,7 +121,7 @@ val set_clock : t -> (unit -> float) option -> unit
     virtual clock; with [None] (the default) an internal per-access
     event counter is used — deterministic either way, never the wall
     clock. The closure makes an instrument unmarshallable, which is why
-    [Net.save] detaches heat like every other observer. *)
+    it lives in [Net]'s hooks, which [Net.save] never writes. *)
 
 (** {2 Write side — called by [Net] and the protocol layer} *)
 

@@ -1,7 +1,7 @@
 (** Streaming digest of operation durations (virtual milliseconds).
 
-    The recorder's digests count hops and messages — integers the paper
-    reasons about. The concurrent runtime additionally produces
+    Per-operation hop and message counts are integers the paper reasons
+    about. The concurrent runtime additionally produces
     latencies, which are floats of simulated time; this digest buckets
     them to tenths of a millisecond on the integer
     {!Baton_util.Histogram}, so a million-operation run stays bounded

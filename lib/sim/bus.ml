@@ -38,8 +38,8 @@ type gray_state = {
 type hop_hook = src:int -> dst:int -> kind:string -> unit
 
 (* Delivery probe: a pure wall-clock observer bracketing every message
-   transit. Holds closures, so it is cleared (like subscribers) before
-   the bus is marshalled. *)
+   transit. Holds closures, so {!unhooked} leaves it out (like
+   subscribers). *)
 type probe = { before : unit -> unit; after : unit -> unit }
 
 (* Causal trace context carried by a message: which trace (operation
@@ -98,8 +98,8 @@ let probe t = t.probe
 
 (* --- Hop-trace subscriptions --------------------------------------
 
-   Multiple observers (latency measurement, CLI tracing, the telemetry
-   recorder) can watch the bus at once; each holds a token and removes
+   Multiple observers (latency measurement, CLI tracing, tests) can
+   watch the bus at once; each holds a token and removes
    only its own hook, so they compose instead of clobbering each
    other. *)
 
@@ -120,12 +120,11 @@ let unsubscribe t id =
 
 let subscriber_count t = List.length t.subs_rev
 
-(* Drop every hook, e.g. before marshalling the bus (closures cannot be
-   serialized). *)
-let clear_subscribers t =
-  t.subs_rev <- [];
-  t.subs_fwd <- [];
-  t.subs_dirty <- false
+(* The bus as [Marshal] may see it: a shallow copy sharing every piece
+   of state, minus the subscribers and the probe (closures cannot be
+   serialized). [t] itself keeps its hooks. *)
+let unhooked t =
+  { t with subs_rev = []; subs_fwd = []; subs_dirty = false; probe = None }
 
 (* Subscription-order view, rebuilt at most once per burst of
    (un)subscriptions. *)

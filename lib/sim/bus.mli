@@ -182,8 +182,8 @@ val failed_count : t -> int
 
 (** {1 Hop-trace subscriptions}
 
-    Any number of observers (latency measurement, CLI tracing, the
-    {!Baton_obs} telemetry recorder) can watch the bus at once. Each
+    Any number of observers (latency measurement, CLI tracing, tests)
+    can watch the bus at once. Each
     {!subscribe} returns a token; {!unsubscribe} removes only that
     hook, so independent observers compose instead of clobbering each
     other. Hooks run in subscription order, after the message is
@@ -202,9 +202,11 @@ val unsubscribe : t -> subscription -> unit
 
 val subscriber_count : t -> int
 
-val clear_subscribers : t -> unit
-(** Remove every hook — required before marshalling the bus, since
-    closures cannot be serialized. *)
+val unhooked : t -> t
+(** A shallow copy of the bus sharing all its state (metrics, failures,
+    fault models) but carrying no subscribers and no probe — the value
+    to marshal, since closures cannot be serialized. The original keeps
+    its hooks. *)
 
 (** {1 Delivery probe}
 
@@ -212,8 +214,8 @@ val clear_subscribers : t -> unit
     accounting, subscriber hooks, fault layers) — the self-profiler's
     ["bus.delivery"] meter. Unlike subscribers it also wraps the
     failure outcomes: [after] runs whether the send delivers, times
-    out, or finds the peer dead. Must be a pure observer, and — like
-    subscribers — must be removed before the bus is marshalled. *)
+    out, or finds the peer dead. Must be a pure observer; like
+    subscribers, {!unhooked} leaves it out. *)
 
 type probe = { before : unit -> unit; after : unit -> unit }
 

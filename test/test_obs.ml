@@ -1,173 +1,105 @@
-(* Tracing / telemetry layer: recorder semantics, export formats, and
-   the invariant that observing a run never changes what it measures. *)
+(* Observability layer: per-operation episodes through [Net.with_op],
+   the CLI-facing exports, the invariant that observing a run never
+   changes what it measures, and the hooks surviving [Net.save]. *)
 
 module Bus = Baton_sim.Bus
 module Metrics = Baton_sim.Metrics
-module Histogram = Baton_util.Histogram
 module Rng = Baton_util.Rng
-module Span = Baton_obs.Span
-module Recorder = Baton_obs.Recorder
+module Trace = Baton_obs.Trace
+module Profile = Baton_obs.Profile
+module Heat = Baton_obs.Heat
 module Gauge = Baton_obs.Gauge
 module Json = Baton_obs.Json
-module Export = Baton_obs.Export
 module N = Baton.Network
 module Net = Baton.Net
+module Msg = Baton.Msg
 module Search = Baton.Search
 
-let test_ring_bounds_and_drops () =
-  let r = Recorder.create ~capacity:4 () in
-  for i = 0 to 9 do
-    Recorder.note r (Printf.sprintf "e%d" i)
-  done;
-  Alcotest.(check int) "recorded counts everything" 10 (Recorder.recorded r);
-  Alcotest.(check int) "dropped = overflow" 6 (Recorder.dropped r);
-  let events = Recorder.events r in
-  Alcotest.(check int) "ring keeps capacity" 4 (List.length events);
-  Alcotest.(check (list int)) "oldest first, newest kept" [ 6; 7; 8; 9 ]
-    (List.map (fun (e : Span.entry) -> e.Span.seq) events)
+let bare_net () = Net.create ~domain:(Baton.Range.make ~lo:0 ~hi:1000) ()
 
+let traced net =
+  let tr = Trace.create () in
+  Net.set_tracer net (Some tr);
+  tr
+
+let latest_analysis tr = Trace.analyze (Option.get (Trace.latest tr))
+
+(* One top-level operation is one episode; a nested [with_op] (a repair
+   tripped over mid-search) joins it instead of opening its own. *)
 let test_with_op_digest () =
-  let bus = Bus.create () in
-  let r = Recorder.create () in
-  Recorder.attach r bus;
-  Recorder.with_op r ~kind:Span.exact (fun () ->
-      for i = 1 to 3 do
-        Bus.send bus ~src:i ~dst:(i + 1) ~kind:"m"
-      done);
-  Recorder.detach r;
-  let d = Option.get (Recorder.digest r Span.exact) in
-  Alcotest.(check int) "one op" 1 (Recorder.digest_ops d);
-  Alcotest.(check int) "hops p50" 3 (Histogram.percentile (Recorder.digest_hops d) 50.);
-  Alcotest.(check int) "msgs p50" 3 (Histogram.percentile (Recorder.digest_msgs d) 50.);
-  Alcotest.(check (list string)) "kinds" [ Span.exact ] (Recorder.kinds r);
-  Alcotest.(check int) "no op left open" 0 (Recorder.open_ops r)
+  let net = bare_net () in
+  let tr = traced net in
+  Net.with_op net ~kind:Msg.op_exact (fun () ->
+      Net.send_raw net ~src:1 ~dst:2 ~kind:"m";
+      Net.with_op net ~kind:Msg.op_repair (fun () ->
+          Net.send_raw net ~src:2 ~dst:3 ~kind:"m";
+          Net.send_raw net ~src:3 ~dst:4 ~kind:"m"));
+  Alcotest.(check int) "one episode" 1 (Trace.episode_count tr);
+  Alcotest.(check bool) "closed" false (Trace.active tr);
+  let a = latest_analysis tr in
+  Alcotest.(check string) "outer kind names it" Msg.op_exact a.Trace.a_op;
+  Alcotest.(check int) "msgs include the nested op" 3 a.Trace.msgs;
+  Alcotest.(check int) "serial sends form one chain" 3 a.Trace.crit_hops
 
-let test_nested_ops_share_hops () =
-  let bus = Bus.create () in
-  let r = Recorder.create () in
-  Recorder.attach r bus;
-  Recorder.with_op r ~kind:Span.range (fun () ->
-      Bus.send bus ~src:1 ~dst:2 ~kind:"m";
-      Recorder.with_op r ~kind:Span.repair (fun () ->
-          Bus.send bus ~src:2 ~dst:3 ~kind:"m";
-          Bus.send bus ~src:3 ~dst:4 ~kind:"m"));
-  Recorder.detach r;
-  let hops kind =
-    Histogram.percentile
-      (Recorder.digest_hops (Option.get (Recorder.digest r kind)))
-      50.
-  in
-  (* The parent's cost includes the nested repair. *)
-  Alcotest.(check int) "parent includes child" 3 (hops Span.range);
-  Alcotest.(check int) "child counts its own" 2 (hops Span.repair);
-  (* The nested op's begin event records its parent. *)
-  let parent_of_repair =
-    List.find_map
-      (fun (e : Span.entry) ->
-        match e.Span.ev with
-        | Span.Op_begin { kind; parent } when String.equal kind Span.repair ->
-          Some parent
-        | _ -> None)
-      (Recorder.events r)
-  in
-  Alcotest.(check (option (option int))) "parent link" (Some (Some 0)) parent_of_repair;
-  (* Hops inside the nested op are attributed to it, not the parent. *)
-  let hop_ops =
-    List.filter_map
-      (fun (e : Span.entry) ->
-        match e.Span.ev with Span.Hop _ -> Some e.Span.op | _ -> None)
-      (Recorder.events r)
-  in
-  Alcotest.(check (list int)) "innermost attribution" [ 0; 1; 1 ] hop_ops
-
+(* A retransmission is counted in msgs but is not forward progress: the
+   timed-out attempt and its retry are siblings, so the critical path
+   holds one hop. *)
 let test_retries_split_hops_from_msgs () =
-  let bus = Bus.create () in
-  let r = Recorder.create () in
-  Recorder.attach r bus;
-  Recorder.with_op r ~kind:Span.join (fun () ->
-      Bus.send bus ~src:1 ~dst:2 ~kind:"m";
-      (* A retransmission passes over the bus again... *)
-      Bus.send bus ~src:1 ~dst:2 ~kind:"m";
-      (* ...and is flagged so it doesn't count as forward progress. *)
-      Recorder.retry r ~peer:2);
-  Recorder.detach r;
-  let d = Option.get (Recorder.digest r Span.join) in
-  Alcotest.(check int) "msgs include the retry" 2
-    (Histogram.percentile (Recorder.digest_msgs d) 50.);
-  Alcotest.(check int) "hops exclude the retry" 1
-    (Histogram.percentile (Recorder.digest_hops d) 50.)
+  let net = bare_net () in
+  let bus = Net.bus net in
+  Bus.set_faults bus ~seed:1 ~drop_rate:0. ~transient_rate:0. ();
+  Bus.stun bus 2 ~msgs:1;
+  let tr = traced net in
+  Net.with_op net ~kind:Msg.op_join (fun () ->
+      Net.send_raw net ~src:1 ~dst:2 ~kind:"m");
+  let a = latest_analysis tr in
+  Alcotest.(check int) "msgs include the retry" 2 a.Trace.msgs;
+  Alcotest.(check int) "one attempt timed out" 1 a.Trace.timeouts;
+  Alcotest.(check int) "hops exclude the retry" 1 a.Trace.crit_hops;
+  Alcotest.(check int) "retry event counted" 1
+    (Metrics.event_count (Net.metrics net) Msg.ev_retry)
 
 let test_failed_op_recorded () =
-  let r = Recorder.create () in
-  (match Recorder.with_op r ~kind:Span.leave (fun () -> failwith "boom") with
+  let net = bare_net () in
+  let tr = traced net in
+  (match Net.with_op net ~kind:Msg.op_leave (fun () -> failwith "boom") with
   | () -> Alcotest.fail "expected exception"
   | exception Failure m -> Alcotest.(check string) "re-raised" "boom" m);
-  let ok =
-    List.find_map
-      (fun (e : Span.entry) ->
-        match e.Span.ev with Span.Op_end { ok; _ } -> Some ok | _ -> None)
-      (Recorder.events r)
-  in
-  Alcotest.(check (option bool)) "marked failed" (Some false) ok;
-  Alcotest.(check int) "stack unwound" 0 (Recorder.open_ops r)
-
-let test_event_json_schema () =
-  let lines entries = String.concat "" (List.map (fun e -> Json.to_string (Export.event_json e) ^ "\n") entries) in
-  let entries =
-    [
-      { Span.seq = 0; op = 0; time = None; ev = Span.Op_begin { kind = Span.exact; parent = None } };
-      { Span.seq = 1; op = 0; time = None; ev = Span.Hop { src = 3; dst = 7; msg = "search.exact"; span = -1 } };
-      { Span.seq = 2; op = 0; time = Some 1.5; ev = Span.Note { name = "send.retry"; peer = Some 7 } };
-      { Span.seq = 3; op = 0; time = None; ev = Span.Op_end { ok = true; hops = 1; msgs = 2 } };
-      { Span.seq = 4; op = 0; time = None; ev = Span.Hop { src = 3; dst = 7; msg = "search.exact"; span = 5 } };
-    ]
-  in
-  (* Golden strings pin both the schema and the emission order: object
-     keys come out sorted regardless of the order the exporter
-     assembled them in. *)
-  Alcotest.(check string) "schema-stable lines, keys sorted"
-    ("{\"ev\":\"begin\",\"kind\":\"exact\",\"op\":0,\"parent\":null,\"seq\":0}\n"
-    ^ "{\"dst\":7,\"ev\":\"hop\",\"msg\":\"search.exact\",\"op\":0,\"seq\":1,\"src\":3}\n"
-    ^ "{\"ev\":\"note\",\"name\":\"send.retry\",\"op\":0,\"peer\":7,\"seq\":2,\"t\":1.5}\n"
-    ^ "{\"ev\":\"end\",\"hops\":1,\"msgs\":2,\"ok\":true,\"op\":0,\"seq\":3}\n"
-    ^ "{\"dst\":7,\"ev\":\"hop\",\"msg\":\"search.exact\",\"op\":0,\"seq\":4,\"span\":5,\"src\":3}\n")
-    (lines entries)
+  Alcotest.(check int) "episode finalized" 1 (Trace.episode_count tr);
+  Alcotest.(check bool) "no episode left open" false (Trace.active tr);
+  Net.with_op net ~kind:Msg.op_exact (fun () ->
+      Net.send_raw net ~src:1 ~dst:2 ~kind:"m");
+  Alcotest.(check int) "next op opens its own episode" 2
+    (Trace.episode_count tr)
 
 (* The acceptance property behind `baton_cli trace --json`: two
    same-seed runs emit byte-identical JSONL. *)
-let traced_run ~seed =
+let run ~seed ~trace =
   let net = N.build ~seed 300 in
   let rng = Rng.create (seed + 1) in
   for _ = 1 to 200 do
     N.insert net (Rng.int_in_range rng ~lo:1 ~hi:999_999_999)
   done;
-  let r = Recorder.create () in
-  Net.set_recorder net (Some r);
+  let tr = if trace then Some (traced net) else None in
   ignore (Search.exact net ~from:(Net.random_peer net) 123_456);
   ignore (Search.range net ~from:(Net.random_peer net) ~lo:1_000 ~hi:50_000_000);
-  Net.set_recorder net None;
-  (Export.events_jsonl r, Metrics.total (Net.metrics net))
+  let jsonl =
+    match tr with
+    | None -> ""
+    | Some tr -> String.concat "" (List.map Trace.episode_jsonl (Trace.episodes tr))
+  in
+  (jsonl, Metrics.total (Net.metrics net))
 
 let test_jsonl_deterministic () =
-  let a, _ = traced_run ~seed:7 in
-  let b, _ = traced_run ~seed:7 in
+  let a, _ = run ~seed:7 ~trace:true in
+  let b, _ = run ~seed:7 ~trace:true in
   Alcotest.(check bool) "trace is non-trivial" true (String.length a > 100);
   Alcotest.(check string) "byte-identical across runs" b a
 
-(* Attaching a recorder must not perturb the paper's metric. *)
-let plain_run ~seed =
-  let net = N.build ~seed 300 in
-  let rng = Rng.create (seed + 1) in
-  for _ = 1 to 200 do
-    N.insert net (Rng.int_in_range rng ~lo:1 ~hi:999_999_999)
-  done;
-  ignore (Search.exact net ~from:(Net.random_peer net) 123_456);
-  ignore (Search.range net ~from:(Net.random_peer net) ~lo:1_000 ~hi:50_000_000);
-  Metrics.total (Net.metrics net)
-
-let test_recorder_does_not_perturb_metrics () =
-  let _, observed = traced_run ~seed:13 in
-  let plain = plain_run ~seed:13 in
+(* Tracing must not perturb the paper's metric. *)
+let test_trace_does_not_perturb_metrics () =
+  let _, observed = run ~seed:13 ~trace:true in
+  let _, plain = run ~seed:13 ~trace:false in
   Alcotest.(check int) "Metrics.total unchanged" plain observed
 
 let test_gauge_percentiles () =
@@ -180,109 +112,122 @@ let test_gauge_percentiles () =
   let s = Option.get (Gauge.latest g) in
   Alcotest.(check int) "latest max" 7 s.Gauge.max;
   Alcotest.(check bool) "latest time" true (s.Gauge.time = 3.);
+  Alcotest.(check string) "sample json"
+    "{\"max\":7,\"mean\":7.0,\"nodes\":1,\"p50\":7,\"p95\":7,\"p99\":7,\"t\":3.0,\"total\":7}"
+    (Json.to_string (Gauge.sample_json s));
   match Gauge.samples g with
   | [ s2; _ ] ->
     Alcotest.(check int) "older sample total" 10 s2.Gauge.total;
     Alcotest.(check int) "older sample p50" 5 s2.Gauge.p50
   | _ -> Alcotest.fail "expected two samples"
 
-let test_stats_json_shape () =
-  let bus = Bus.create () in
-  let r = Recorder.create () in
-  Recorder.attach r bus;
-  Recorder.with_op r ~kind:Span.exact (fun () -> Bus.send bus ~src:1 ~dst:2 ~kind:"m");
-  Recorder.detach r;
-  Alcotest.(check string) "compact stats summary, keys sorted"
-    ("{\"events\":{\"dropped\":0,\"recorded\":3},"
-    ^ "\"ops\":[{\"count\":1,"
-    ^ "\"hops\":{\"max\":1,\"mean\":1.0,\"p50\":1,\"p95\":1,\"p99\":1},"
-    ^ "\"kind\":\"exact\","
-    ^ "\"msgs\":{\"max\":1,\"mean\":1.0,\"p50\":1,\"p95\":1,\"p99\":1}}]}")
-    (Json.to_string (Export.stats_json r))
-
-let test_span_tree_renders () =
-  let bus = Bus.create () in
-  let r = Recorder.create () in
-  Recorder.attach r bus;
-  Recorder.with_op r ~kind:Span.range (fun () ->
-      Bus.send bus ~src:1 ~dst:2 ~kind:"m";
-      Recorder.with_op r ~kind:Span.repair (fun () ->
-          Bus.send bus ~src:2 ~dst:3 ~kind:"m"));
-  Recorder.detach r;
-  let tree = Export.span_tree r in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) (Printf.sprintf "mentions %S" needle) true
-        (let re = Str.regexp_string needle in
-         try ignore (Str.search_forward re tree 0); true with Not_found -> false))
-    [ "op#0 range"; "op#1 repair"; "1 -> 2"; "2 -> 3"; "done" ];
-  (* The nested op indents deeper than its parent. *)
-  let line_with needle =
-    List.find
-      (fun l ->
-        try ignore (Str.search_forward (Str.regexp_string needle) l 0); true
-        with Not_found -> false)
-      (String.split_on_char '\n' tree)
+(* The `experiments --tiny --telemetry` tail columns of fig 8(d)/(e),
+   pinned: a per-op hop is [msgs - retries] on the query's own
+   result. *)
+let test_telemetry_tails_pinned () =
+  let module P = Baton_experiments.Params in
+  let module Table = Baton_experiments.Table in
+  let _, fig8d, fig8e =
+    Baton_experiments.Exp_queries.run { P.tiny with P.telemetry = true }
   in
-  let indent l = String.length l - String.length (String.trim l) in
-  Alcotest.(check bool) "child indented under parent" true
-    (indent (line_with "op#1 repair") > indent (line_with "op#0 range"))
+  let tails (t : Table.t) =
+    List.map
+      (fun row ->
+        match List.rev row with
+        | p99 :: p95 :: _ -> (List.hd row, p95, p99)
+        | _ -> Alcotest.fail "short row")
+      t.Table.rows
+  in
+  let cells = Alcotest.(list (triple string string string)) in
+  Alcotest.check cells "fig8d baton p95/p99"
+    [ ("50", "5.00", "6.00"); ("100", "7.00", "10.00"); ("200", "7.00", "9.00") ]
+    (tails fig8d);
+  Alcotest.check cells "fig8e baton p95/p99"
+    [ ("50", "5.00", "6.00"); ("100", "8.00", "12.00"); ("200", "10.00", "16.00") ]
+    (tails fig8e)
 
-let test_save_detaches_recorder () =
+(* Every hook a network can carry, with a delivery-probe counter. *)
+let hooked_net () =
   let net = N.build ~seed:3 50 in
-  let r = Recorder.create () in
-  Net.set_recorder net (Some r);
-  let file = Filename.temp_file "baton_obs" ".snap" in
+  let tr = traced net in
+  Net.set_heat net (Some (Heat.create ~lo:1 ~hi:1_000_000_000 ()));
+  let prof = Profile.create () in
+  Net.set_profiler net (Some prof);
+  (net, tr, prof)
+
+let snap_path () = Filename.temp_file "baton_obs" ".snap"
+
+let test_save_keeps_hooks () =
+  let net, tr, prof = hooked_net () in
+  let file = snap_path () in
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
-      (* Marshal cannot serialize the subscriber closures; save must
-         shed them rather than die. *)
       Net.save net file;
-      let restored = Net.load file in
-      Alcotest.(check int) "roundtrip size" (Net.size net) (Net.size restored);
-      Alcotest.(check (option unit)) "recorder detached on save" None
-        (Option.map ignore (Net.recorder net)))
+      Alcotest.(check bool) "tracer attached" true (Option.is_some (Net.tracer net));
+      Alcotest.(check bool) "heat attached" true (Option.is_some (Net.heat net));
+      Alcotest.(check bool) "profiler attached" true
+        (Option.is_some (Net.profiler net));
+      let deliveries = Profile.calls prof Profile.s_delivery in
+      let episodes = Trace.episode_count tr in
+      ignore (Search.exact net ~from:(Net.random_peer net) 123_456);
+      Alcotest.(check bool) "delivery probe still fires" true
+        (Profile.calls prof Profile.s_delivery > deliveries);
+      Alcotest.(check int) "tracer still records" (episodes + 1)
+        (Trace.episode_count tr))
 
 (* Regression: a save that dies mid-way (unwritable path, full disk)
-   must put the observers back. The old code detached the recorder
-   before opening the file and never reattached on the error path,
-   silently blinding telemetry on a network that kept running. *)
+   must leave bus subscribers in place. The old code cleared them before
+   opening the file and never put them back. *)
 let test_failed_save_restores_observers () =
-  let net = N.build ~seed:3 50 in
-  let r = Recorder.create () in
-  Net.set_recorder net (Some r);
-  let tr = Baton_obs.Trace.create () in
-  Net.set_tracer net (Some tr);
-  let bad_path = Filename.concat (Filename.get_temp_dir_name ()) "no/such/dir/x.snap" in
+  let net, _, _ = hooked_net () in
+  let hops = ref 0 in
+  ignore (Bus.subscribe (Net.bus net) (fun ~src:_ ~dst:_ ~kind:_ -> incr hops));
+  let bad_path =
+    Filename.concat (Filename.get_temp_dir_name ()) "no/such/dir/x.snap"
+  in
   (match Net.save net bad_path with
   | () -> Alcotest.fail "expected save to fail"
   | exception Sys_error _ -> ());
-  Alcotest.(check bool) "recorder reattached" true
-    (Option.is_some (Net.recorder net));
-  Alcotest.(check bool) "tracer reattached" true
-    (Option.is_some (Net.tracer net));
-  (* And the recorder's bus subscription is live again: a fresh
-     operation still lands in the ring. *)
-  let before = Recorder.recorded r in
+  Alcotest.(check bool) "tracer attached" true (Option.is_some (Net.tracer net));
   ignore (Search.exact net ~from:(Net.random_peer net) 123_456);
-  Alcotest.(check bool) "subscription restored" true
-    (Recorder.recorded r > before)
+  Alcotest.(check bool) "subscriber still fires" true (!hops > 0)
+
+let test_load_has_no_hooks () =
+  let net, _, _ = hooked_net () in
+  ignore (Bus.subscribe (Net.bus net) (fun ~src:_ ~dst:_ ~kind:_ -> ()));
+  Net.set_hop_wait net (Some (fun ~src:_ ~dst:_ ~kind:_ ~outcome:_ -> ()));
+  let file = snap_path () in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Net.save net file;
+      let restored = Net.load file in
+      Alcotest.(check int) "roundtrip size" (Net.size net) (Net.size restored);
+      Alcotest.(check bool) "no tracer" true (Option.is_none (Net.tracer restored));
+      Alcotest.(check bool) "no heat" true (Option.is_none (Net.heat restored));
+      Alcotest.(check bool) "no profiler" true
+        (Option.is_none (Net.profiler restored));
+      Alcotest.(check bool) "no hop wait" true
+        (Option.is_none (Net.hop_wait restored));
+      Alcotest.(check bool) "no probe" true
+        (Option.is_none (Bus.probe (Net.bus restored)));
+      Alcotest.(check int) "no subscribers" 0
+        (Bus.subscriber_count (Net.bus restored));
+      Alcotest.(check int) "original keeps its subscriber" 1
+        (Bus.subscriber_count (Net.bus net)))
 
 let suite =
   [
-    Alcotest.test_case "ring bounds/drops" `Quick test_ring_bounds_and_drops;
     Alcotest.test_case "with_op digest" `Quick test_with_op_digest;
-    Alcotest.test_case "nested ops" `Quick test_nested_ops_share_hops;
     Alcotest.test_case "retries vs hops" `Quick test_retries_split_hops_from_msgs;
     Alcotest.test_case "failed op" `Quick test_failed_op_recorded;
-    Alcotest.test_case "event json schema" `Quick test_event_json_schema;
     Alcotest.test_case "jsonl deterministic" `Quick test_jsonl_deterministic;
-    Alcotest.test_case "metrics unperturbed" `Quick test_recorder_does_not_perturb_metrics;
+    Alcotest.test_case "metrics unperturbed" `Quick test_trace_does_not_perturb_metrics;
     Alcotest.test_case "gauge percentiles" `Quick test_gauge_percentiles;
-    Alcotest.test_case "stats json shape" `Quick test_stats_json_shape;
-    Alcotest.test_case "span tree" `Quick test_span_tree_renders;
-    Alcotest.test_case "save detaches recorder" `Quick test_save_detaches_recorder;
+    Alcotest.test_case "telemetry tails pinned" `Quick test_telemetry_tails_pinned;
+    Alcotest.test_case "save keeps hooks attached" `Quick test_save_keeps_hooks;
     Alcotest.test_case "failed save restores observers" `Quick
       test_failed_save_restores_observers;
+    Alcotest.test_case "load has no hooks" `Quick test_load_has_no_hooks;
   ]
