@@ -81,33 +81,37 @@ let theorem2 net =
           [ `Left; `Right ])
     (Net.peers net)
 
-let check_link net ~strict ~what ~(owner : Node.t) (link : Link.info option) expected_pos =
+(* [what] names the link in a failure message. It is a thunk so that a
+   passing check — every check of every link on a healthy network, each
+   {!Monitor} tick — formats nothing. *)
+let check_link net ~strict ~(what : unit -> string) ~(owner : Node.t)
+    (link : Link.info option) expected_pos =
   match (link, expected_pos) with
   | None, None -> ()
   | Some l, None ->
-    fail "links: node %d has %s to %a but none should exist" owner.Node.id what
+    fail "links: node %d has %s to %a but none should exist" owner.Node.id (what ())
       Position.pp l.Link.pos
   | None, Some p ->
     if Wiring.occupied net p then
-      fail "links: node %d is missing %s to %a" owner.Node.id what Position.pp p
+      fail "links: node %d is missing %s to %a" owner.Node.id (what ()) Position.pp p
   | Some l, Some p -> (
     if not (Position.equal l.Link.pos p) then
-      fail "links: node %d %s points at %a, expected %a" owner.Node.id what
+      fail "links: node %d %s points at %a, expected %a" owner.Node.id (what ())
         Position.pp l.Link.pos Position.pp p;
     match Wiring.occupant net p with
-    | None -> fail "links: node %d %s points at empty position %a" owner.Node.id what Position.pp p
+    | None -> fail "links: node %d %s points at empty position %a" owner.Node.id (what ()) Position.pp p
     | Some target ->
       if target.Node.id <> l.Link.peer then
         fail "links: node %d %s points at peer %d, occupant is %d" owner.Node.id
-          what l.Link.peer target.Node.id;
+          (what ()) l.Link.peer target.Node.id;
       if strict then begin
         if not (Range.equal l.Link.range target.Node.range) then
-          fail "links: node %d %s caches range %a, actual %a" owner.Node.id what
+          fail "links: node %d %s caches range %a, actual %a" owner.Node.id (what ())
             Range.pp l.Link.range Range.pp target.Node.range;
         if
           l.Link.has_left_child <> Option.is_some (Node.child target `Left)
           || l.Link.has_right_child <> Option.is_some (Node.child target `Right)
-        then fail "links: node %d %s caches stale child flags" owner.Node.id what
+        then fail "links: node %d %s caches stale child flags" owner.Node.id (what ())
       end)
 
 let links ?(strict = true) net =
@@ -126,7 +130,7 @@ let links ?(strict = true) net =
       List.iter
         (fun k ->
           check_link net ~strict
-            ~what:(Format.asprintf "%a" Link.pp_kind k)
+            ~what:(fun () -> Format.asprintf "%a" Link.pp_kind k)
             ~owner:n (Node.link n k) (expected k))
         Link.all_kinds;
       List.iter
@@ -136,7 +140,7 @@ let links ?(strict = true) net =
             match Position.neighbor pos side j with
             | Some q ->
               check_link net ~strict
-                ~what:(Printf.sprintf "table slot %d" j)
+                ~what:(fun () -> Printf.sprintf "table slot %d" j)
                 ~owner:n (Routing_table.get table j) (expect q)
             | None -> ()
           done)

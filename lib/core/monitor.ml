@@ -310,7 +310,7 @@ let samples t =
       | None -> assert false)
 
 let latest t =
-  match samples t with [] -> None | l -> Some (List.nth l (List.length l - 1))
+  if t.count = 0 then None else t.ring.((t.count - 1) mod t.capacity)
 
 let events t = List.rev t.events_rev
 

@@ -194,11 +194,52 @@ let root t = peer_at t Position.root
 
 let peers t = Hashtbl.fold (fun _ node acc -> node :: acc) t.st.peers []
 
+(* Ascending live ids without hashing or sorting: mark every live id of
+   the dense [id_list] in a byte buffer indexed by [id - lo], then emit
+   the marks in order. The buffer spans the registered ids, not
+   [next_id], since [register] accepts hand-made nodes with any id.
+   Fresh ids keep the span near the peer count; once hand-made ids (or
+   long churn at a small size) spread it wider than a few bytes per
+   peer, sorting is the cheaper path. *)
 let live_ids t =
-  Hashtbl.fold
-    (fun id _ acc -> if Bus.is_failed t.st.bus id then acc else id :: acc)
-    t.st.peers []
-  |> List.sort compare |> Array.of_list
+  let ids = t.st.id_list and bus = t.st.bus in
+  let n = Dyn_array.length ids in
+  let check_failed = Bus.failed_count bus > 0 in
+  let live id = not (check_failed && Bus.is_failed bus id) in
+  let lo = ref max_int and hi = ref min_int in
+  for i = 0 to n - 1 do
+    let id = Dyn_array.get ids i in
+    if id < !lo then lo := id;
+    if id > !hi then hi := id
+  done;
+  let lo = !lo and hi = !hi in
+  if n = 0 then [||]
+  else if hi - lo < 0 || hi - lo >= (8 * n) + 1024 then begin
+    (* Sparse ids (or a span that overflows): collect and sort. *)
+    let out = Dyn_array.to_list ids |> List.filter live |> Array.of_list in
+    Array.sort Int.compare out;
+    out
+  end
+  else begin
+    let marks = Bytes.make (hi - lo + 1) '\000' in
+    let count = ref 0 in
+    for i = 0 to n - 1 do
+      let id = Dyn_array.get ids i in
+      if live id then begin
+        Bytes.set marks (id - lo) '\001';
+        incr count
+      end
+    done;
+    let out = Array.make !count 0 in
+    let j = ref 0 in
+    for k = 0 to Bytes.length marks - 1 do
+      if Bytes.get marks k <> '\000' then begin
+        out.(!j) <- lo + k;
+        incr j
+      end
+    done;
+    out
+  end
 
 let random_peer t =
   let total = Dyn_array.length t.st.id_list in

@@ -51,7 +51,15 @@ val peers : t -> Node.t list
 (** All registered peers, unspecified order. *)
 
 val live_ids : t -> int array
-(** Ids of registered, non-failed peers. *)
+(** Ids of registered, non-failed peers, in ascending order. Seeded
+    callers pick from this array by index ([Rng.pick]), so the order is
+    part of the contract: the same membership always yields the same
+    array. The array is fresh on every call; mutating it never affects
+    the network or a later call. Costs O(largest id - smallest id)
+    with no sorting and no per-id hashing while ids are dense (as
+    {!fresh_id} allocates them), and skips the failure lookup while no
+    peer has failed; ids spread much wider than the peer count fall
+    back to an O(n log n) sort with the same result. *)
 
 val random_peer : t -> Node.t
 (** Uniformly random live peer — the issuer of a query in experiments.

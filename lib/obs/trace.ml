@@ -209,7 +209,7 @@ let episodes t =
       | None -> assert false)
 
 let latest t =
-  match episodes t with [] -> None | l -> Some (List.nth l (List.length l - 1))
+  if t.count = 0 then None else t.ring.((t.count - 1) mod t.capacity)
 
 let hops (ep : episode) = List.rev ep.hops_rev
 

@@ -156,7 +156,9 @@ let test_ring_bounds_samples () =
   Alcotest.(check int) "ring keeps capacity" 4 (List.length kept);
   Alcotest.(check (list (float 0.)))
     "oldest evicted first" [ 7.; 8.; 9.; 10. ]
-    (List.map (fun s -> s.Monitor.s_time) kept)
+    (List.map (fun s -> s.Monitor.s_time) kept);
+  Alcotest.(check (float 0.)) "latest is the newest tick" 10.
+    (Option.get (Monitor.latest mon)).Monitor.s_time
 
 let health_doc ~seed =
   let net = build ~seed 30 in

@@ -6,6 +6,14 @@ module Node = Baton.Node
 module Position = Baton.Position
 module Range = Baton.Range
 module Bus = Baton_sim.Bus
+module N = Baton.Network
+module Link = Baton.Link
+module Join = Baton.Join
+module Leave = Baton.Leave
+module Failure = Baton.Failure
+module Restructure = Baton.Restructure
+module Check = Baton.Check
+module Rng = Baton_util.Rng
 
 let domain = Range.make ~lo:0 ~hi:1000
 
@@ -133,6 +141,166 @@ let test_shift_histogram () =
   Alcotest.(check int) "bucket 3" 2 (Baton_util.Histogram.count h 3);
   Alcotest.(check int) "total" 3 (Baton_util.Histogram.total h)
 
+(* --- live_ids ------------------------------------------------------- *)
+
+(* The definition [live_ids] must keep: every registered, non-failed
+   peer, by ascending id. *)
+let reference_live_ids net =
+  Net.peers net
+  |> List.filter (fun (n : Node.t) -> not (Bus.is_failed (Net.bus net) n.Node.id))
+  |> List.map (fun (n : Node.t) -> n.Node.id)
+  |> List.sort compare |> Array.of_list
+
+let test_live_ids_fresh_array () =
+  let net = N.build ~seed:11 30 in
+  let first = Net.live_ids net in
+  let expected = Array.copy first in
+  Array.fill first 0 (Array.length first) (-1);
+  Alcotest.(check (array int)) "mutation does not leak" expected (Net.live_ids net);
+  Alcotest.(check bool) "distinct arrays" true (Net.live_ids net != Net.live_ids net)
+
+let test_live_ids_hand_made_ids () =
+  let net = make_net () in
+  let root = Net.bootstrap net in
+  (* Ids above [next_id]: one a little past it, one far enough to make
+     the id span sparse. *)
+  let near =
+    Node.create ~id:(Net.fresh_id net + 40) ~pos:(Position.left_child Position.root)
+      ~range:domain
+  in
+  Net.register net near;
+  Alcotest.(check (array int)) "dense span" [| root.Node.id; near.Node.id |] (Net.live_ids net);
+  let far =
+    Node.create ~id:1_000_000_007 ~pos:(Position.right_child Position.root) ~range:domain
+  in
+  Net.register net far;
+  Alcotest.(check (array int)) "sparse span"
+    [| root.Node.id; near.Node.id; far.Node.id |] (Net.live_ids net);
+  Bus.fail (Net.bus net) near.Node.id;
+  Alcotest.(check (array int)) "failed excluded" [| root.Node.id; far.Node.id |]
+    (Net.live_ids net);
+  Alcotest.(check (array int)) "matches reference" (reference_live_ids net) (Net.live_ids net);
+  Net.unregister net far;
+  Alcotest.(check (array int)) "dense again" [| root.Node.id |] (Net.live_ids net)
+
+type op =
+  | Op_join
+  | Op_leave of bool  (** [true]: an internal peer, which needs a replacement *)
+  | Op_crash
+  | Op_repair
+  | Op_forced_join
+  | Op_forced_leave
+  | Op_save_load
+
+let print_op = function
+  | Op_join -> "join"
+  | Op_leave internal -> if internal then "leave-internal" else "leave"
+  | Op_crash -> "crash"
+  | Op_repair -> "repair"
+  | Op_forced_join -> "forced-join"
+  | Op_forced_leave -> "forced-leave"
+  | Op_save_load -> "save/load"
+
+let gen_op =
+  let open QCheck2.Gen in
+  frequency
+    [
+      (4, return Op_join);
+      (2, return (Op_leave false));
+      (2, return (Op_leave true));
+      (2, return Op_crash);
+      (2, return Op_repair);
+      (2, return Op_forced_join);
+      (2, return Op_forced_leave);
+      (1, return Op_save_load);
+    ]
+
+(* Hand a node's range and content to an in-order neighbour, as the
+   balancer does before a forced leave. *)
+let hand_off net (victim : Node.t) =
+  match Node.adjacent victim `Left, Node.adjacent victim `Right with
+  | Some l, _ | None, Some l ->
+    let n = Net.peer net l.Link.peer in
+    Baton_util.Sorted_store.absorb n.Node.store victim.Node.store;
+    n.Node.range <- Range.merge n.Node.range victim.Node.range;
+    true
+  | None, None -> false
+
+let snapshot_path = Filename.concat (Filename.get_temp_dir_name ()) "baton_live_ids.bin"
+
+(* Replays a membership script. At most one peer is crashed at a time,
+   and it is repaired before any other membership change, so every
+   protocol runs on a repairable network. *)
+let live_ids_script ~salt ops =
+  let net = ref (N.build ~seed:(9000 + salt) 12) in
+  let rng = Rng.create salt in
+  let crashed = ref None in
+  let pick () = Net.peer !net (Rng.pick rng (reference_live_ids !net)) in
+  let repair () =
+    Option.iter
+      (fun id -> Failure.repair !net ~reporter:(Net.random_peer !net) id)
+      !crashed;
+    crashed := None
+  in
+  let leaves () = List.filter Node.is_leaf (Check.in_order_nodes !net) in
+  let step = function
+    | Op_join ->
+      repair ();
+      ignore (Join.join !net ~via:(Net.random_peer !net))
+    | Op_leave internal ->
+      repair ();
+      if Net.size !net > 2 then begin
+        let candidates =
+          List.filter
+            (fun (n : Node.t) -> Node.is_leaf n <> internal)
+            (Check.in_order_nodes !net)
+        in
+        let victim =
+          match candidates with
+          | [] -> pick ()
+          | l -> List.nth l (Rng.int rng (List.length l))
+        in
+        ignore (Leave.leave !net victim)
+      end
+    | Op_crash ->
+      if !crashed = None && Net.size !net > 3 then begin
+        let v = pick () in
+        Failure.crash !net v;
+        crashed := Some v.Node.id
+      end
+    | Op_repair -> repair ()
+    | Op_forced_join ->
+      repair ();
+      let l = leaves () in
+      let parent = List.nth l (Rng.int rng (List.length l)) in
+      ignore (Restructure.forced_join !net ~parent (Net.fresh_id !net))
+    | Op_forced_leave ->
+      repair ();
+      if Net.size !net > 3 then begin
+        let victim = pick () in
+        if (not (Node.is_root victim)) && hand_off !net victim then
+          Restructure.forced_leave !net victim
+      end
+    | Op_save_load ->
+      Net.save !net snapshot_path;
+      net := Net.load snapshot_path;
+      Sys.remove snapshot_path
+  in
+  List.for_all
+    (fun op ->
+      step op;
+      Net.live_ids !net = reference_live_ids !net)
+    ops
+
+let live_ids_prop =
+  let open QCheck2 in
+  Test.make ~name:"live_ids equals the sorted live membership" ~count:40
+    ~print:(fun (ops, salt) ->
+      Printf.sprintf "salt=%d ops=[%s]" salt
+        (String.concat "; " (List.map print_op ops)))
+    Gen.(pair (list_size (int_bound 40) gen_op) (int_bound 10_000))
+    (fun (ops, salt) -> live_ids_script ~salt ops)
+
 let suite =
   [
     Alcotest.test_case "bootstrap/root" `Quick test_bootstrap_and_root;
@@ -145,4 +313,7 @@ let suite =
     Alcotest.test_case "expect_pos guard" `Quick test_notify_expect_pos_guard;
     Alcotest.test_case "vanished peer send counted" `Quick test_notify_to_vanished_peer_still_counts;
     Alcotest.test_case "shift histogram" `Quick test_shift_histogram;
+    Alcotest.test_case "live ids fresh array" `Quick test_live_ids_fresh_array;
+    Alcotest.test_case "live ids hand-made ids" `Quick test_live_ids_hand_made_ids;
+    QCheck_alcotest.to_alcotest live_ids_prop;
   ]

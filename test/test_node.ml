@@ -157,6 +157,42 @@ let test_check_detects_missing_link () =
     | exception Failure _ -> true);
   Node.set_parent victim saved
 
+(* The failure text of [Check.links] is part of its output (monitor
+   event details quote it): pin it for one routing-table slot and one
+   adjacent link. *)
+let test_check_links_messages () =
+  let net = N.build ~seed:4 40 in
+  let bogus = 99_999 in
+  let owner =
+    List.find
+      (fun (n : Node.t) -> Option.is_some (Routing_table.get (Node.table n `Left) 1))
+      (Net.peers net)
+  in
+  let table = Node.table owner `Left in
+  let saved = Routing_table.get table 1 in
+  let real = Option.get saved in
+  Routing_table.set table 1 (Some { real with Link.peer = bogus });
+  Alcotest.check_raises "table slot"
+    (Failure
+       (Printf.sprintf "links: node %d table slot 1 points at peer 99999, occupant is %d"
+          owner.Node.id real.Link.peer))
+    (fun () -> Check.links net);
+  Routing_table.set table 1 saved;
+  let owner =
+    List.find (fun (n : Node.t) -> Option.is_some (Node.adjacent n `Right)) (Net.peers net)
+  in
+  let saved = Node.adjacent owner `Right in
+  let real = Option.get saved in
+  Node.set_adjacent owner `Right (Some { real with Link.peer = bogus });
+  Alcotest.check_raises "right adjacent"
+    (Failure
+       (Printf.sprintf
+          "links: node %d right adjacent points at peer 99999, occupant is %d"
+          owner.Node.id real.Link.peer))
+    (fun () -> Check.links ~strict:false net);
+  Node.set_adjacent owner `Right saved;
+  Check.all net
+
 let suite =
   [
     Alcotest.test_case "fresh node" `Quick test_fresh_node;
@@ -170,4 +206,5 @@ let suite =
     Alcotest.test_case "check detects range corruption" `Quick test_check_detects_corruption;
     Alcotest.test_case "check detects stale link" `Quick test_check_detects_stale_link;
     Alcotest.test_case "check detects missing link" `Quick test_check_detects_missing_link;
+    Alcotest.test_case "check links failure text" `Quick test_check_links_messages;
   ]

@@ -102,6 +102,16 @@ let test_trace_does_not_perturb_metrics () =
   let _, plain = run ~seed:13 ~trace:false in
   Alcotest.(check int) "Metrics.total unchanged" plain observed
 
+(* [latest] reads the newest ring slot, also once the ring has wrapped. *)
+let test_trace_latest_after_wrap () =
+  let tr = Trace.create ~capacity:2 () in
+  Alcotest.(check bool) "empty" true (Trace.latest tr = None);
+  List.iter (fun op -> Trace.with_episode tr ~op (fun () -> ())) [ "a"; "b"; "c" ];
+  let ep = Option.get (Trace.latest tr) in
+  Alcotest.(check string) "newest op" "c" (Trace.analyze ep).Trace.a_op;
+  Alcotest.(check bool) "last retained episode" true
+    (ep == List.nth (Trace.episodes tr) 1)
+
 let test_gauge_percentiles () =
   let g = Gauge.create ~capacity:2 () in
   Gauge.sample g ~time:1. (Array.init 100 (fun i -> i + 1));
@@ -224,6 +234,7 @@ let suite =
     Alcotest.test_case "failed op" `Quick test_failed_op_recorded;
     Alcotest.test_case "jsonl deterministic" `Quick test_jsonl_deterministic;
     Alcotest.test_case "metrics unperturbed" `Quick test_trace_does_not_perturb_metrics;
+    Alcotest.test_case "trace latest after wrap" `Quick test_trace_latest_after_wrap;
     Alcotest.test_case "gauge percentiles" `Quick test_gauge_percentiles;
     Alcotest.test_case "telemetry tails pinned" `Quick test_telemetry_tails_pinned;
     Alcotest.test_case "save keeps hooks attached" `Quick test_save_keeps_hooks;
