@@ -11,7 +11,7 @@ let tree_shape net =
       then fail "tree_shape: node %d at %a has no parent" n.Node.id Position.pp n.Node.pos)
     (Net.peers net)
 
-let balanced net =
+let balanced_scan net =
   List.iter
     (fun (n : Node.t) ->
       let hl = Wiring.subtree_height net (Position.left_child n.Node.pos) in
@@ -20,6 +20,30 @@ let balanced net =
         fail "balanced: node %d at %a has subtree heights %d and %d" n.Node.id
           Position.pp n.Node.pos hl hr)
     (Net.peers net)
+
+(* One post-order pass from the root computes each height once. It
+   settles the healthy case alone: every registered peer reached (the
+   position map holds each exactly once) and no imbalance. Anything
+   else falls back to [balanced_scan], so a failure names the same peer
+   with the same text. *)
+let balanced net =
+  let reached = ref 0 in
+  let rec height pos =
+    match Wiring.occupant net pos with
+    | None -> -1
+    | Some _ ->
+      incr reached;
+      let hl = height (Position.left_child pos) in
+      let hr = height (Position.right_child pos) in
+      if abs (hl - hr) > 1 then raise Exit;
+      1 + max hl hr
+  in
+  let healthy =
+    match height Position.root with
+    | _ -> !reached = Net.registered net
+    | exception Exit -> false
+  in
+  if not healthy then balanced_scan net
 
 let height net =
   match Net.root net with
@@ -83,24 +107,26 @@ let theorem2 net =
 
 (* [what] names the link in a failure message. It is a thunk so that a
    passing check — every check of every link on a healthy network, each
-   {!Monitor} tick — formats nothing. *)
-let check_link net ~strict ~(what : unit -> string) ~(owner : Node.t)
-    (link : Link.info option) expected_pos =
-  match (link, expected_pos) with
+   {!Monitor} tick — formats nothing. [expected] is the position the
+   link should point at with its occupant, looked up once; [None] when
+   no link should exist. *)
+let check_link ~strict ~(what : unit -> string) ~(owner : Node.t)
+    (link : Link.info option) expected =
+  match (link, expected) with
   | None, None -> ()
   | Some l, None ->
     fail "links: node %d has %s to %a but none should exist" owner.Node.id (what ())
       Position.pp l.Link.pos
-  | None, Some p ->
-    if Wiring.occupied net p then
+  | None, Some (p, occupant) ->
+    if Option.is_some occupant then
       fail "links: node %d is missing %s to %a" owner.Node.id (what ()) Position.pp p
-  | Some l, Some p -> (
+  | Some l, Some (p, occupant) -> (
     if not (Position.equal l.Link.pos p) then
       fail "links: node %d %s points at %a, expected %a" owner.Node.id (what ())
         Position.pp l.Link.pos Position.pp p;
-    match Wiring.occupant net p with
+    match occupant with
     | None -> fail "links: node %d %s points at empty position %a" owner.Node.id (what ()) Position.pp p
-    | Some target ->
+    | Some (target : Node.t) ->
       if target.Node.id <> l.Link.peer then
         fail "links: node %d %s points at peer %d, occupant is %d" owner.Node.id
           (what ()) l.Link.peer target.Node.id;
@@ -118,18 +144,21 @@ let links ?(strict = true) net =
   List.iter
     (fun (n : Node.t) ->
       let pos = n.Node.pos in
-      let expect p = if Wiring.occupied net p then Some p else None in
-      let expected : Link.kind -> Position.t option = function
+      let at p = Some (p, Wiring.occupant net p) in
+      let expect p =
+        match Wiring.occupant net p with None -> None | occupant -> Some (p, occupant)
+      in
+      let expected = function
         | Link.Parent ->
           if Position.is_root pos then None else expect (Position.parent pos)
         | Link.Child `Left -> expect (Position.left_child pos)
         | Link.Child `Right -> expect (Position.right_child pos)
-        | Link.Adjacent `Left -> Wiring.in_order_predecessor net pos
-        | Link.Adjacent `Right -> Wiring.in_order_successor net pos
+        | Link.Adjacent `Left -> Option.bind (Wiring.in_order_predecessor net pos) at
+        | Link.Adjacent `Right -> Option.bind (Wiring.in_order_successor net pos) at
       in
       List.iter
         (fun k ->
-          check_link net ~strict
+          check_link ~strict
             ~what:(fun () -> Format.asprintf "%a" Link.pp_kind k)
             ~owner:n (Node.link n k) (expected k))
         Link.all_kinds;
@@ -139,7 +168,7 @@ let links ?(strict = true) net =
           for j = 0 to Routing_table.size table - 1 do
             match Position.neighbor pos side j with
             | Some q ->
-              check_link net ~strict
+              check_link ~strict
                 ~what:(fun () -> Printf.sprintf "table slot %d" j)
                 ~owner:n (Routing_table.get table j) (expect q)
             | None -> ()

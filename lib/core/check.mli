@@ -11,7 +11,14 @@ val tree_shape : Net.t -> unit
 
 val balanced : Net.t -> unit
 (** At every occupied position the two subtree heights differ by at
-    most one (Definition 1). *)
+    most one (Definition 1). One pass from the root settles a healthy
+    tree in O(N); otherwise this is {!balanced_scan}, whose failure
+    text it raises. *)
+
+val balanced_scan : Net.t -> unit
+(** {!balanced} peer by peer: both subtree heights at every registered
+    peer, O(N * height). Fails on the first unbalanced peer in
+    {!Net.peers} order. *)
 
 val height_bound : Net.t -> unit
 (** Height <= 1.44 log2 N + 1 (the AVL bound the paper cites). *)

@@ -12,6 +12,16 @@ type hop_outcome = Delivered | Timed_out
 
 type hop_wait = src:int -> dst:int -> kind:string -> outcome:hop_outcome -> unit
 
+(* The position map, keyed by a position's heap index (see [key]) and
+   hashed inline: one lookup takes a position straight to its
+   occupant. *)
+module Pos_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash k = k lxor (k lsr 16)
+end)
+
 (* One deferred notification, pooled. All fields are dummies while the
    record sits in the free pool. *)
 type pending = {
@@ -27,7 +37,9 @@ type pending = {
 type state = {
   bus : Bus.t;
   peers : (int, Node.t) Hashtbl.t;
-  positions : (int * int, int) Hashtbl.t;
+  (* Occupant of every registered position. Its nodes are the same
+     records as in [peers]; [Marshal] keeps that sharing. *)
+  positions : Node.t Pos_table.t;
   (* Registered ids in a dense array (plus index map) so random peer
      selection is O(1) even at 10^4 peers. *)
   id_list : int Dyn_array.t;
@@ -106,7 +118,7 @@ let create ?(seed = 42) ~domain () =
            List.iter (Metrics.mark_aux (Bus.metrics bus)) Msg.cache_kinds;
            bus);
         peers = Hashtbl.create 4096;
-        positions = Hashtbl.create 4096;
+        positions = Pos_table.create 4096;
         id_list = Dyn_array.create ();
         id_index = Hashtbl.create 4096;
         rng = Rng.create seed;
@@ -129,9 +141,12 @@ let metrics t = Bus.metrics t.st.bus
 let rng t = t.st.rng
 let domain t = t.st.domain
 
-let key (pos : Position.t) = (pos.Position.level, pos.Position.number)
+(* Heap index [2^level + number - 1]: injective up to
+   [Position.max_level], and it fits a native int. *)
+let key (pos : Position.t) = (1 lsl pos.Position.level) + pos.Position.number - 1
 
 let size t = Hashtbl.length t.st.peers - Bus.failed_count t.st.bus
+let registered t = Hashtbl.length t.st.peers
 
 let fresh_id t =
   let id = t.st.next_id in
@@ -141,18 +156,24 @@ let fresh_id t =
 let register t (node : Node.t) =
   if Hashtbl.mem t.st.peers node.Node.id then
     invalid_arg "Net.register: peer id already registered";
-  if Hashtbl.mem t.st.positions (key node.Node.pos) then
+  let k = key node.Node.pos in
+  if Pos_table.mem t.st.positions k then
     invalid_arg "Net.register: position occupied";
   Hashtbl.add t.st.peers node.Node.id node;
-  Hashtbl.add t.st.positions (key node.Node.pos) node.Node.id;
+  Pos_table.add t.st.positions k node;
   Hashtbl.replace t.st.id_index node.Node.id (Dyn_array.length t.st.id_list);
   Dyn_array.push t.st.id_list node.Node.id
 
+(* Drop [node]'s entry at its current position, if it holds one. *)
+let vacate t (node : Node.t) =
+  let k = key node.Node.pos in
+  match Pos_table.find_opt t.st.positions k with
+  | Some n when n.Node.id = node.Node.id -> Pos_table.remove t.st.positions k
+  | Some _ | None -> ()
+
 let unregister t (node : Node.t) =
   Hashtbl.remove t.st.peers node.Node.id;
-  (match Hashtbl.find_opt t.st.positions (key node.Node.pos) with
-  | Some id when id = node.Node.id -> Hashtbl.remove t.st.positions (key node.Node.pos)
-  | Some _ | None -> ());
+  vacate t node;
   (match Hashtbl.find_opt t.st.id_index node.Node.id with
   | Some i ->
     (* Swap-remove from the dense id array. *)
@@ -165,15 +186,17 @@ let unregister t (node : Node.t) =
   | None -> ());
   Bus.revive t.st.bus node.Node.id
 
+(* Check before mutating: a refused move leaves [node] where it was. *)
 let reposition t (node : Node.t) pos =
-  (match Hashtbl.find_opt t.st.positions (key node.Node.pos) with
-  | Some id when id = node.Node.id -> Hashtbl.remove t.st.positions (key node.Node.pos)
+  let k = key pos in
+  (match Pos_table.find_opt t.st.positions k with
+  | Some n when n.Node.id <> node.Node.id ->
+    invalid_arg "Net.reposition: position occupied"
   | Some _ | None -> ());
-  if Hashtbl.mem t.st.positions (key pos) then
-    invalid_arg "Net.reposition: position occupied";
+  vacate t node;
   node.Node.pos <- pos;
   Node.bump_epoch node;
-  Hashtbl.add t.st.positions (key pos) node.Node.id
+  Pos_table.replace t.st.positions k node
 
 let bootstrap t =
   if Hashtbl.length t.st.peers <> 0 then
@@ -185,10 +208,7 @@ let bootstrap t =
 let peer t id = Hashtbl.find t.st.peers id
 let peer_opt t id = Hashtbl.find_opt t.st.peers id
 
-let peer_at t pos =
-  match Hashtbl.find_opt t.st.positions (key pos) with
-  | Some id -> peer_opt t id
-  | None -> None
+let peer_at t pos = Pos_table.find_opt t.st.positions (key pos)
 
 let root t = peer_at t Position.root
 
@@ -587,7 +607,7 @@ let shift_histogram t = t.st.shifts
 (* Snapshot format: a magic string (to fail fast on foreign files)
    followed by the marshalled protocol state. Hooks are never written,
    so adding an observer never changes the format. *)
-let snapshot_magic = "BATON-NET-v8"
+let snapshot_magic = "BATON-NET-v9"
 
 let save t path =
   if not (Dyn_array.is_empty t.st.deferred) then

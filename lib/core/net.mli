@@ -21,6 +21,10 @@ val domain : t -> Range.t
 val size : t -> int
 (** Number of live (non-failed, registered) peers. *)
 
+val registered : t -> int
+(** Number of registered peers, failed ones included: the length of
+    {!peers}. *)
+
 val fresh_id : t -> int
 (** Allocate a new physical peer id. *)
 
@@ -38,14 +42,19 @@ val unregister : t -> Node.t -> unit
 
 val reposition : t -> Node.t -> Position.t -> unit
 (** Move a peer to a new position in the position map and update
-    [node.pos]. The caller is responsible for rebuilding links. *)
+    [node.pos]. The caller is responsible for rebuilding links.
+    @raise Invalid_argument if another peer occupies the target; the
+    peer then stays registered where it was. *)
 
 val peer : t -> int -> Node.t
 (** @raise Not_found for unknown ids. Failed peers are still returned
     (their state exists; only the bus refuses messages to them). *)
 
 val peer_opt : t -> int -> Node.t option
+
 val peer_at : t -> Position.t -> Node.t option
+(** The peer occupying a position: one int-keyed hash lookup. *)
+
 val root : t -> Node.t option
 val peers : t -> Node.t list
 (** All registered peers, unspecified order. *)

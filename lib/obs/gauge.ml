@@ -34,7 +34,7 @@ let sample t ~time loads =
   let n = Array.length loads in
   if n = 0 then invalid_arg "Gauge.sample: no loads";
   let sorted = Array.copy loads in
-  Array.sort compare sorted;
+  Array.sort Int.compare sorted;
   let total = Array.fold_left ( + ) 0 sorted in
   let s =
     {

@@ -39,9 +39,16 @@ type kind_counts = {
   mutable k_violations : int;
 }
 
+module Key_set = Set.Make (Int)
+
 type t = {
   (* key -> settled transitions, newest first (completion order). *)
   hist : (int, event_ list) Hashtbl.t;
+  (* [hist]'s keys in order, so a range check visits only the keys
+     inside its interval. Built at the first range check and kept
+     current by [add_event] from then on, so seeding stays plain
+     hashing. *)
+  mutable keys : Key_set.t option;
   (* key -> number of in-flight mutations. *)
   pending : (int, int) Hashtbl.t;
   by_kind : (string, kind_counts) Hashtbl.t;
@@ -61,6 +68,7 @@ let max_details = 16
 let create () =
   {
     hist = Hashtbl.create 4096;
+    keys = None;
     pending = Hashtbl.create 64;
     by_kind = Hashtbl.create 4;
     checked = 0;
@@ -76,8 +84,21 @@ let create () =
 (* --- Model maintenance --------------------------------------------- *)
 
 let add_event t key ev =
-  let evs = match Hashtbl.find_opt t.hist key with Some l -> l | None -> [] in
-  Hashtbl.replace t.hist key (ev :: evs)
+  match Hashtbl.find_opt t.hist key with
+  | Some evs -> Hashtbl.replace t.hist key (ev :: evs)
+  | None -> (
+    Hashtbl.replace t.hist key [ ev ];
+    match t.keys with
+    | Some keys -> t.keys <- Some (Key_set.add key keys)
+    | None -> ())
+
+let key_index t =
+  match t.keys with
+  | Some keys -> keys
+  | None ->
+    let keys = Hashtbl.fold (fun k _ acc -> Key_set.add k acc) t.hist Key_set.empty in
+    t.keys <- Some keys;
+    keys
 
 let seed_keys t keys =
   (* The initial bulk load: settled before the measured phase opens. *)
@@ -200,7 +221,7 @@ let check_range t ?trace ~started ~finished:_ ~lo ~hi ~keys ~complete ~holes ()
   (* The store is a multiset (the same key value can be inserted more
      than once); the oracle models presence only, so the answer is
      judged as a set. *)
-  let answered = List.sort_uniq compare keys in
+  let answered = List.sort_uniq Int.compare keys in
   let answer = Hashtbl.create (List.length answered) in
   List.iter (fun k -> Hashtbl.replace answer k ()) answered;
   (* Keys the model knows about inside the queried interval, with their
@@ -215,19 +236,19 @@ let check_range t ?trace ~started ~finished:_ ~lo ~hi ~keys ~complete ~holes ()
         | Definitely false -> phantoms := k :: !phantoms
         | Definitely true | Uncertain -> ())
     answered;
-  Hashtbl.iter
-    (fun k _ ->
-      if k >= lo && k <= hi && not (Hashtbl.mem answer k) then
+  Seq.iter
+    (fun k ->
+      if not (Hashtbl.mem answer k) then
         match state_at t k ~w0:started with
         | Definitely true ->
           if in_hole holes k then hidden := k :: !hidden
           else missing := k :: !missing
         | Uncertain -> incr uncertain
         | Definitely false -> ())
-    t.hist;
-  let phantoms = List.sort compare !phantoms
-  and missing = List.sort compare !missing
-  and hidden = List.sort compare !hidden in
+    (Seq.take_while (fun k -> k <= hi) (Key_set.to_seq_from lo (key_index t)));
+  let phantoms = List.sort Int.compare !phantoms
+  and missing = List.sort Int.compare !missing
+  and hidden = List.sort Int.compare !hidden in
   let key_list ks =
     Json.List (List.map (fun k -> Json.Int k) (List.filteri (fun i _ -> i < 8) ks))
   in

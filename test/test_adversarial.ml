@@ -428,6 +428,211 @@ let test_oracle_range () =
       (List.mem_assoc "violation_details" fields)
   | _ -> Alcotest.fail "oracle json shape"
 
+(* The ordered key index is built by the first range check; keys that
+   appear after it (new inserts, deletes at [lo] and [hi]) must still
+   be seen by later checks. *)
+let test_oracle_range_index_follows_new_keys () =
+  let o = Oracle.create () in
+  Oracle.seed_keys o [ 10; 20 ];
+  let check ~started ~keys =
+    Oracle.check_range o ~started ~finished:(started +. 1.) ~lo:10 ~hi:20 ~keys
+      ~complete:true ~holes:[] ()
+  in
+  Alcotest.(check bool) "bounds are inclusive" true
+    (check ~started:1. ~keys:[ 10; 20 ] = Oracle.Pass);
+  Oracle.begin_mutation o 15;
+  Oracle.commit_insert o 15 ~started:2. ~finished:3.;
+  Alcotest.(check bool) "inserted key omitted" true
+    (check ~started:4. ~keys:[ 10; 20 ]
+    = Oracle.Violation "false-complete: present key 15 omitted with no hole reported");
+  Oracle.note_lost o ~time:5. [ 20 ];
+  Oracle.commit_delete o 10 ~started:5. ~finished:6.;
+  Alcotest.(check bool) "deleted key at lo answered" true
+    (check ~started:7. ~keys:[ 10; 15 ]
+    = Oracle.Violation "phantom key 10: absent (or out of range) but answered");
+  Alcotest.(check bool) "after the deletes" true (check ~started:7. ~keys:[ 15 ] = Oracle.Pass)
+
+(* The oracle's model as plain per-key state, with every known key
+   scanned on each range check: the definition [Oracle.check_range]
+   must keep. Only a key's newest settled transition matters. *)
+type range_model = {
+  settled : (int, float * bool) Hashtbl.t;  (** key -> (settled at, present) *)
+  in_flight : (int, int) Hashtbl.t;
+}
+
+let model_state m k ~w0 =
+  if Hashtbl.mem m.in_flight k then None
+  else
+    match Hashtbl.find_opt m.settled k with
+    | None -> Some false
+    | Some (at, present) -> if at <= w0 then Some present else None
+
+let model_settle m k =
+  match Hashtbl.find_opt m.in_flight k with
+  | Some n when n > 1 -> Hashtbl.replace m.in_flight k (n - 1)
+  | Some _ -> Hashtbl.remove m.in_flight k
+  | None -> ()
+
+let model_range m ~started ~lo ~hi ~keys ~complete ~holes =
+  let answered = List.sort_uniq compare keys in
+  let state k = model_state m k ~w0:started in
+  let phantoms =
+    List.filter (fun k -> k < lo || k > hi || state k = Some false) answered
+  in
+  let omitted =
+    Hashtbl.fold
+      (fun k _ acc -> if k >= lo && k <= hi && not (List.mem k answered) then k :: acc else acc)
+      m.settled []
+    |> List.sort compare
+  in
+  let hidden, missing =
+    List.filter (fun k -> state k = Some true) omitted
+    |> List.partition (fun k -> List.exists (fun (a, b) -> a <= k && k < b) holes)
+  in
+  let verdict =
+    match (phantoms, missing) with
+    | p :: _, _ ->
+      Oracle.Violation
+        (Printf.sprintf "phantom key %d: absent (or out of range) but answered" p)
+    | [], k :: _ ->
+      Oracle.Violation
+        (if complete then
+           Printf.sprintf "false-complete: present key %d omitted with no hole reported" k
+         else
+           Printf.sprintf "broken tiling: present key %d omitted outside every reported hole" k)
+    | [], [] ->
+      if hidden <> [] then Oracle.Tolerated "present keys omitted inside reported holes"
+      else if List.exists (fun k -> state k = None) omitted && not complete then
+        Oracle.Tolerated "incomplete under concurrent mutation"
+      else Oracle.Pass
+  in
+  let field name ks =
+    if ks = [] then []
+    else [ (name, Json.List (List.filteri (fun i _ -> i < 8) ks |> List.map (fun k -> Json.Int k))) ]
+  in
+  ( verdict,
+    [ ("lo", Json.Int lo); ("hi", Json.Int hi) ]
+    @ field "phantoms" phantoms @ field "missing" missing @ field "hidden" hidden )
+
+type oracle_step =
+  | Begin of int
+  | Commit of int * bool  (** [true]: an insert, [false]: a delete *)
+  | Abort of int
+  | Lost of int list
+  | Range of {
+      lo : int;
+      hi : int;
+      keys : int list;
+      complete : bool;
+      holes : (int * int) list;
+      back : int;  (** how many steps before now the reader's window opened *)
+    }
+
+let print_oracle_step =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  function
+  | Begin k -> Printf.sprintf "begin %d" k
+  | Commit (k, ins) -> Printf.sprintf "%s %d" (if ins then "insert" else "delete") k
+  | Abort k -> Printf.sprintf "abort %d" k
+  | Lost ks -> Printf.sprintf "lost [%s]" (ints ks)
+  | Range r ->
+    Printf.sprintf "range [%d,%d] keys=[%s] complete=%b holes=[%s] back=%d" r.lo r.hi
+      (ints r.keys) r.complete
+      (String.concat "," (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) r.holes))
+      r.back
+
+let gen_oracle_step =
+  let open QCheck2.Gen in
+  let key = int_range 0 40 in
+  let range =
+    let* lo = int_range (-2) 42 and* span = int_range (-1) 30 in
+    let* keys = list_size (int_bound 12) (int_range (-5) 45)
+    and* complete = bool
+    and* holes = list_size (int_bound 2) (pair key (int_range 1 8))
+    and* back = int_bound 3 in
+    return
+      (Range
+         {
+           lo;
+           hi = lo + span;
+           keys;
+           complete;
+           holes = List.map (fun (a, w) -> (a, a + w)) holes;
+           back;
+         })
+  in
+  frequency
+    [
+      (3, map (fun k -> Begin k) key);
+      (3, map2 (fun k ins -> Commit (k, ins)) key bool);
+      (1, map (fun k -> Abort k) key);
+      (1, map (fun ks -> Lost ks) (list_size (int_bound 3) key));
+      (3, range);
+    ]
+
+let newest_detail o =
+  match Json.member "violation_details" (Oracle.json o) with
+  | Some (Json.List l) -> List.nth_opt (List.rev l) 0
+  | _ -> None
+
+(* Replay one history into the oracle and the model; every range check
+   must give the model's verdict and, while the oracle still keeps
+   violation details, the model's detail fields. *)
+let oracle_range_agrees (seeded, steps) =
+  let o = Oracle.create () in
+  let m = { settled = Hashtbl.create 16; in_flight = Hashtbl.create 16 } in
+  Oracle.seed_keys o seeded;
+  List.iter (fun k -> Hashtbl.replace m.settled k (0., true)) seeded;
+  let step i s =
+    let now = float_of_int (i + 1) in
+    match s with
+    | Begin k ->
+      Oracle.begin_mutation o k;
+      Hashtbl.replace m.in_flight k
+        (1 + Option.value ~default:0 (Hashtbl.find_opt m.in_flight k));
+      true
+    | Commit (k, ins) ->
+      (if ins then Oracle.commit_insert else Oracle.commit_delete)
+        o k ~started:(now -. 2.) ~finished:now;
+      model_settle m k;
+      Hashtbl.replace m.settled k (now, ins);
+      true
+    | Abort k ->
+      Oracle.abort_mutation o k;
+      model_settle m k;
+      true
+    | Lost ks ->
+      Oracle.note_lost o ~time:now ks;
+      List.iter (fun k -> Hashtbl.replace m.settled k (now, false)) ks;
+      true
+    | Range { lo; hi; keys; complete; holes; back } ->
+      let started = now -. float_of_int back in
+      let got =
+        Oracle.check_range o ~started ~finished:now ~lo ~hi ~keys ~complete ~holes ()
+      in
+      let want, fields = model_range m ~started ~lo ~hi ~keys ~complete ~holes in
+      got = want
+      &&
+      match want with
+      | Oracle.Violation reason when Oracle.violation_count o <= 16 ->
+        newest_detail o
+        = Some
+            (Json.Obj
+               (("op", Json.String "range") :: ("reason", Json.String reason) :: fields))
+      | _ -> true
+  in
+  List.for_all Fun.id (List.mapi step steps)
+
+let oracle_range_prop =
+  let open QCheck2 in
+  Test.make ~name:"oracle range verdicts equal a scan over every known key" ~count:300
+    ~print:(fun (seeded, steps) ->
+      Printf.sprintf "seeded=[%s] steps=[%s]"
+        (String.concat "," (List.map string_of_int seeded))
+        (String.concat "; " (List.map print_oracle_step steps)))
+    Gen.(pair (list_size (int_bound 15) (int_range 0 40)) (list_size (int_bound 24) gen_oracle_step))
+    oracle_range_agrees
+
 (* --- Driver: adversarial runs are deterministic and violation-free -- *)
 
 let adv_config ?schedule () =
@@ -489,6 +694,9 @@ let suite =
     Alcotest.test_case "oracle uncertainty windows" `Quick test_oracle_uncertainty;
     Alcotest.test_case "oracle lost keys" `Quick test_oracle_lost_keys;
     Alcotest.test_case "oracle range verdicts" `Quick test_oracle_range;
+    Alcotest.test_case "oracle range index follows new keys" `Quick
+      test_oracle_range_index_follows_new_keys;
+    QCheck_alcotest.to_alcotest oracle_range_prop;
     Alcotest.test_case "driver adversarial deterministic" `Slow test_driver_adversarial_deterministic;
     Alcotest.test_case "oracle is a pure observer" `Slow test_driver_oracle_off_identical_metrics;
   ]

@@ -59,6 +59,22 @@ let test_reposition () =
     (match Net.peer_at net new_pos with Some n -> n.Node.id = child.Node.id | None -> false);
   ignore root
 
+(* A refused move leaves the peer registered where it was: still at its
+   position, and still found there. *)
+let test_reposition_refused_keeps_peer () =
+  let net = make_net () in
+  let root = Net.bootstrap net in
+  let child_pos = Position.left_child Position.root in
+  let child = make_node net child_pos in
+  Net.register net child;
+  Alcotest.check_raises "target occupied" (Invalid_argument "Net.reposition: position occupied")
+    (fun () -> Net.reposition net child Position.root);
+  Alcotest.(check bool) "pos unchanged" true (Position.equal child.Node.pos child_pos);
+  Alcotest.(check bool) "still found at its position" true
+    (match Net.peer_at net child_pos with Some n -> n == child | None -> false);
+  Alcotest.(check bool) "target keeps its occupant" true
+    (match Net.peer_at net Position.root with Some n -> n == root | None -> false)
+
 let test_unregister_updates_size_and_ids () =
   let net = make_net () in
   let root = Net.bootstrap net in
@@ -226,12 +242,13 @@ let hand_off net (victim : Node.t) =
     true
   | None, None -> false
 
-let snapshot_path = Filename.concat (Filename.get_temp_dir_name ()) "baton_live_ids.bin"
+let snapshot_path = Filename.concat (Filename.get_temp_dir_name ()) "baton_membership.bin"
 
-(* Replays a membership script. At most one peer is crashed at a time,
-   and it is repaired before any other membership change, so every
-   protocol runs on a repairable network. *)
-let live_ids_script ~salt ops =
+(* Replays a membership script and holds [check] after every step. At
+   most one peer is crashed at a time, and it is repaired before any
+   other membership change, so every protocol runs on a repairable
+   network. *)
+let membership_script ~salt ~check ops =
   let net = ref (N.build ~seed:(9000 + salt) 12) in
   let rng = Rng.create salt in
   let crashed = ref None in
@@ -289,23 +306,58 @@ let live_ids_script ~salt ops =
   List.for_all
     (fun op ->
       step op;
-      Net.live_ids !net = reference_live_ids !net)
+      check !net)
     ops
 
-let live_ids_prop =
+let membership_prop ~name check =
   let open QCheck2 in
-  Test.make ~name:"live_ids equals the sorted live membership" ~count:40
+  Test.make ~name ~count:40
     ~print:(fun (ops, salt) ->
       Printf.sprintf "salt=%d ops=[%s]" salt
         (String.concat "; " (List.map print_op ops)))
     Gen.(pair (list_size (int_bound 40) gen_op) (int_bound 10_000))
-    (fun (ops, salt) -> live_ids_script ~salt ops)
+    (fun (ops, salt) -> membership_script ~salt ~check ops)
+
+let live_ids_prop =
+  membership_prop ~name:"live_ids equals the sorted live membership" (fun net ->
+      Net.live_ids net = reference_live_ids net)
+
+(* The definition the position index must keep: a position's occupant
+   is the registered peer whose [pos] it is. Checked at every occupied
+   position and both its child positions, by physical equality with the
+   record in [Net.peers], so a loaded snapshot must have kept the
+   sharing between the two tables. *)
+let positions_match net =
+  let reference = Hashtbl.create 64 in
+  List.iter
+    (fun (n : Node.t) ->
+      Hashtbl.replace reference (n.Node.pos.Position.level, n.Node.pos.Position.number) n)
+    (Net.peers net);
+  let agrees (p : Position.t) =
+    match
+      (Net.peer_at net p, Hashtbl.find_opt reference (p.Position.level, p.Position.number))
+    with
+    | None, None -> true
+    | Some a, Some b -> a == b
+    | Some _, None | None, Some _ -> false
+  in
+  List.for_all
+    (fun (n : Node.t) ->
+      let p = n.Node.pos in
+      agrees p && agrees (Position.left_child p) && agrees (Position.right_child p))
+    (Net.peers net)
+
+let position_index_prop =
+  membership_prop ~name:"peer_at equals the registered peer at each position"
+    positions_match
 
 let suite =
   [
     Alcotest.test_case "bootstrap/root" `Quick test_bootstrap_and_root;
     Alcotest.test_case "register conflicts" `Quick test_register_conflicts;
     Alcotest.test_case "reposition" `Quick test_reposition;
+    Alcotest.test_case "refused reposition keeps peer" `Quick
+      test_reposition_refused_keeps_peer;
     Alcotest.test_case "unregister" `Quick test_unregister_updates_size_and_ids;
     Alcotest.test_case "random peer skips failed" `Quick test_random_peer_skips_failed;
     Alcotest.test_case "send counts/resolves" `Quick test_send_counts_and_resolves;
@@ -316,4 +368,5 @@ let suite =
     Alcotest.test_case "live ids fresh array" `Quick test_live_ids_fresh_array;
     Alcotest.test_case "live ids hand-made ids" `Quick test_live_ids_hand_made_ids;
     QCheck_alcotest.to_alcotest live_ids_prop;
+    QCheck_alcotest.to_alcotest position_index_prop;
   ]

@@ -193,6 +193,81 @@ let test_check_links_messages () =
   Node.set_adjacent owner `Right saved;
   Check.all net
 
+(* --- Check.balanced against the per-node scan ------------------------ *)
+
+let balance_outcome check net =
+  match check net with () -> Ok () | exception Failure m -> Error m
+
+let balance_outcome_t = Alcotest.(result unit string)
+
+(* [balanced] must agree with [balanced_scan]: both pass, or both raise
+   the same text. *)
+let check_balance_agrees ?expected what net =
+  let scan = balance_outcome Check.balanced_scan net in
+  Option.iter (fun e -> Alcotest.check balance_outcome_t (what ^ " (scan)") e scan) expected;
+  Alcotest.check balance_outcome_t what scan (balance_outcome Check.balanced net)
+
+(* A network holding one peer at each given (level, number). *)
+let net_at positions =
+  let net = Net.create ~domain:(Range.make ~lo:0 ~hi:1000) () in
+  List.iter
+    (fun (level, number) ->
+      Net.register net
+        (Node.create ~id:(Net.fresh_id net) ~pos:(Position.make ~level ~number)
+           ~range:(Range.make ~lo:0 ~hi:1000)))
+    positions;
+  net
+
+let test_balanced_hand_broken () =
+  check_balance_agrees "empty" (net_at []) ~expected:(Ok ());
+  check_balance_agrees "balanced" (net_at [ (0, 1); (1, 1); (1, 2); (2, 3) ]) ~expected:(Ok ());
+  check_balance_agrees "one unbalanced node"
+    (net_at [ (0, 1); (1, 1); (2, 1) ])
+    ~expected:(Error "balanced: node 0 at (0,1) has subtree heights 1 and -1");
+  (* (1,1) and the root are both unbalanced: the scan names whichever
+     comes first in [Net.peers] order, and so must the pass. *)
+  let two = net_at [ (0, 1); (1, 1); (1, 2); (2, 1); (3, 1) ] in
+  Alcotest.(check bool) "two unbalanced nodes fail" true
+    (Result.is_error (balance_outcome Check.balanced_scan two));
+  check_balance_agrees "two unbalanced nodes" two;
+  (* (3,1)'s parent position is empty: the pass from the root never
+     reaches it, so the scan decides. *)
+  check_balance_agrees "balanced orphan"
+    (net_at [ (0, 1); (1, 1); (1, 2); (3, 1) ])
+    ~expected:(Ok ());
+  check_balance_agrees "unbalanced orphan subtree"
+    (net_at [ (0, 1); (1, 1); (1, 2); (3, 1); (4, 1); (5, 1) ])
+    ~expected:(Error "balanced: node 3 at (3,1) has subtree heights 1 and -1");
+  check_balance_agrees "no root" (net_at [ (1, 1); (2, 1); (3, 1) ])
+    ~expected:(Error "balanced: node 0 at (1,1) has subtree heights 1 and -1")
+
+(* Random subsets of the positions down to level 4, orphans and missing
+   roots included. *)
+let balanced_random_prop =
+  let open QCheck2 in
+  let all = List.concat (List.init 5 (fun l -> List.init (1 lsl l) (fun i -> (l, i + 1)))) in
+  let chosen keep = List.filteri (fun i _ -> keep.(i)) all in
+  Test.make ~name:"balanced agrees with the per-node scan on random position sets"
+    ~count:300
+    ~print:(fun keep ->
+      String.concat " " (List.map (fun (l, n) -> Printf.sprintf "(%d,%d)" l n) (chosen keep)))
+    Gen.(array_repeat (List.length all) (frequencyl [ (4, true); (1, false) ]))
+    (fun keep ->
+      let net = net_at (chosen keep) in
+      balance_outcome Check.balanced net = balance_outcome Check.balanced_scan net)
+
+let test_balanced_built_networks () =
+  List.iter
+    (fun (seed, n) ->
+      let net = N.build ~seed n in
+      check_balance_agrees (Printf.sprintf "build seed %d n %d" seed n) net ~expected:(Ok ());
+      let rng = Baton_util.Rng.create seed in
+      for _ = 1 to n / 3 do
+        N.leave net (Baton_util.Rng.pick rng (Net.live_ids net))
+      done;
+      check_balance_agrees (Printf.sprintf "after leaves seed %d" seed) net ~expected:(Ok ()))
+    [ (1, 1); (2, 2); (3, 17); (4, 64); (5, 300) ]
+
 let suite =
   [
     Alcotest.test_case "fresh node" `Quick test_fresh_node;
@@ -207,4 +282,7 @@ let suite =
     Alcotest.test_case "check detects stale link" `Quick test_check_detects_stale_link;
     Alcotest.test_case "check detects missing link" `Quick test_check_detects_missing_link;
     Alcotest.test_case "check links failure text" `Quick test_check_links_messages;
+    Alcotest.test_case "balanced on hand-broken trees" `Quick test_balanced_hand_broken;
+    Alcotest.test_case "balanced on built networks" `Quick test_balanced_built_networks;
+    QCheck_alcotest.to_alcotest balanced_random_prop;
   ]

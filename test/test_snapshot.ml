@@ -73,10 +73,24 @@ let test_load_rejects_garbage () =
     (fun () -> ignore (Net.load path));
   Sys.remove path
 
+(* A snapshot of the previous format version is named as such, not
+   taken for garbage. *)
+let test_load_rejects_previous_version () =
+  let path = tmp "baton_v8.bin" in
+  let oc = open_out_bin path in
+  output_string oc "BATON-NET-v8";
+  output_string oc "marshalled state of the old layout";
+  close_out oc;
+  Alcotest.check_raises "previous version"
+    (Net.Incompatible_snapshot { found = "BATON-NET-v8"; expected = "BATON-NET-v9" })
+    (fun () -> ignore (Net.load path));
+  Sys.remove path
+
 let suite =
   [
     Alcotest.test_case "roundtrip" `Quick test_roundtrip_preserves_state;
     Alcotest.test_case "deterministic continuation" `Quick test_restored_network_continues_identically;
     Alcotest.test_case "refuses deferred" `Quick test_save_refuses_deferred;
     Alcotest.test_case "rejects garbage" `Quick test_load_rejects_garbage;
+    Alcotest.test_case "rejects previous version" `Quick test_load_rejects_previous_version;
   ]
