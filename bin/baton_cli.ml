@@ -550,12 +550,18 @@ let bench_run nodes seed keys_per_node ops clients overlay_names mix_names
           List.map
             (fun mix ->
               let cfg =
-                Driver.config ~overlay ~seed ~keys_per_node ~clients ~ops
-                  ~arrival ~route_cache
-                  ~monitor_every_ms:(if baton then monitor_every else 0.)
-                  ~series_every_ms:(if baton then series_every else 0.)
-                  ~profile:(baton && profile) ~heat:(baton && heat)
-                  ~fault_schedule ~oracle ~n:nodes ~mix ()
+                match
+                  Driver.config ~overlay ~seed ~keys_per_node ~clients ~ops
+                    ~arrival ~route_cache
+                    ~monitor_every_ms:(if baton then monitor_every else 0.)
+                    ~series_every_ms:(if baton then series_every else 0.)
+                    ~profile:(baton && profile) ~heat:(baton && heat)
+                    ~fault_schedule ~oracle ~n:nodes ~mix ()
+                with
+                | cfg -> cfg
+                | exception Invalid_argument msg ->
+                  Printf.eprintf "%s\n" msg;
+                  exit 2
               in
               Printf.eprintf "running %s/%s (n=%d, %d ops)...\n%!" overlay
                 mix.Driver.mix_name nodes ops;
@@ -957,8 +963,10 @@ let profile_arg =
     & info [ "profile" ] ~docv:"BOOL"
         ~doc:
           "Meter the simulator process itself during the measured phase: \
-           per-subsystem wall-clock, GC deltas and raw engine-event \
-           throughput land in the report's $(b,profile) section. \
+           the self wall-clock of engine dispatch, bus delivery, each \
+           observer callback and the engine loop (rows that add up to \
+           the phase's wall), GC deltas and raw engine-event throughput \
+           land in the report's $(b,profile) section. \
            Metrics-neutral but inherently non-deterministic — pass \
            $(b,--profile=false) for byte-comparable same-seed output \
            ($(b,profile) becomes null).")

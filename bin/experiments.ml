@@ -1,9 +1,9 @@
 (* experiments — regenerate every table and figure of the paper's
    evaluation (Figure 8 panels a-i).
 
-   `--quick` (default) runs a reduced sweep in under a minute;
-   `--full` runs the paper's 1000..10000 sweep; `--figure fig8X`
-   restricts to one panel's experiment group; `--markdown FILE`
+   With no size flag it runs a reduced ("quick") sweep in under a
+   minute; `--full` runs the paper's 1000..10000 sweep; `--figure
+   fig8X` restricts to one panel's experiment group; `--markdown FILE`
    additionally writes the tables as markdown (the format used by
    EXPERIMENTS.md). *)
 

@@ -5,12 +5,13 @@
    clock: message counts, simulated latency, health samples. This
    example turns the instruments around and meters the simulator
    process itself: the driver wires a Profile into the engine's
-   dispatch loop, the bus delivery path and the protocol hot regions
-   (search, restructure, repair), then prints the per-subsystem
-   wall-clock table next to the simulated summary. The profiler is a
-   pure observer of the machine — rerun this with [~profile:false] and
-   the simulated numbers do not move by a byte; only the table
-   disappears.
+   dispatch loop, the bus delivery path and its own observer callbacks
+   (monitor, series), then prints each layer's self time next to the
+   simulated summary. Self times exclude the layers nested inside, and
+   the engine.loop row holds the wall outside every span, so the shares
+   add up to 100%. The profiler is a pure observer of the machine —
+   rerun this with [~profile:false] and the simulated numbers do not
+   move by a byte; only the table disappears.
 
    Run with: dune exec examples/profiled_bench.exe *)
 
@@ -45,7 +46,7 @@ let () =
      seeded report fields, in the report's "profile" section. *)
   Printf.printf "\nself-profile: %.1f ms wall, %.0f engine events/s\n"
     r.Driver.wall_ms r.Driver.events_per_s;
-  Printf.printf "%-18s %10s %12s %8s\n" "subsystem" "calls" "wall ms" "share";
+  Printf.printf "%-18s %10s %12s %8s\n" "subsystem" "calls" "self ms" "share";
   (match Json.member "subsystems" r.Driver.profile_json with
   | Some (Json.Obj subsystems) ->
     List.iter
@@ -57,8 +58,8 @@ let () =
           | _ -> 0.
         in
         Printf.printf "%-18s %10.0f %12.3f %7.1f%%\n" name (num "calls")
-          (num "wall_ms")
-          (if r.Driver.wall_ms > 0. then num "wall_ms" /. r.Driver.wall_ms *. 100.
+          (num "self_ms")
+          (if r.Driver.wall_ms > 0. then num "self_ms" /. r.Driver.wall_ms *. 100.
            else 0.))
       subsystems
   | _ -> print_endline "(no profile section)");

@@ -174,8 +174,7 @@ let rec repair_run net ~reporter dead_id =
    nested under whatever operation tripped over the failure. *)
 let repair net ~reporter dead_id =
   Net.with_op net ~kind:Msg.op_repair (fun () ->
-      Net.profile net Baton_obs.Profile.s_repair (fun () ->
-          repair_run net ~reporter dead_id))
+      repair_run net ~reporter dead_id)
 
 let crash_and_repair net (x : Node.t) =
   crash net x;

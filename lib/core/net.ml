@@ -1,7 +1,6 @@
 module Bus = Baton_sim.Bus
 module Metrics = Baton_sim.Metrics
 module Trace = Baton_obs.Trace
-module Profile = Baton_obs.Profile
 module Heat = Baton_obs.Heat
 module Rng = Baton_util.Rng
 module Histogram = Baton_util.Histogram
@@ -75,9 +74,6 @@ type hooks = {
   (* Causal trace collector: operations open episodes, [send_raw]
      stamps every transmitted message with a causal context. *)
   mutable tracer : Trace.t option;
-  (* Simulator self-profiler: meters the process (wall-clock cost of
-     hot regions, GC pressure), never the simulated world. *)
-  mutable profiler : Profile.t option;
   (* Demand heat: every delivered message is attributed to the handling
      peer's class by kind, and the protocol layer promotes terminal
      hops to [serve] and records key accesses. *)
@@ -98,7 +94,6 @@ type t = { st : state; hooks : hooks }
 let no_hooks () =
   {
     tracer = None;
-    profiler = None;
     heat = None;
     hop_wait = None;
     repair_serializer = None;
@@ -277,22 +272,6 @@ let random_peer t =
 let set_tracer t tr = t.hooks.tracer <- tr
 let tracer t = t.hooks.tracer
 
-(* --- Self-profiling ------------------------------------------------ *)
-
-let set_profiler t p =
-  t.hooks.profiler <- p;
-  Bus.set_probe t.st.bus
-    (match p with
-    | None -> None
-    | Some prof ->
-      Some
-        {
-          Bus.before = (fun () -> Profile.enter prof Profile.s_delivery);
-          after = (fun () -> Profile.leave prof Profile.s_delivery);
-        })
-
-let profiler t = t.hooks.profiler
-
 (* --- Demand heat ---------------------------------------------------- *)
 
 let set_heat t h = t.hooks.heat <- h
@@ -329,13 +308,6 @@ let heat_access t ~peer key =
 
 let heat_access_range t ~peer ~lo ~hi =
   match t.hooks.heat with None -> () | Some h -> Heat.access_range h ~peer ~lo ~hi
-
-(* Time a protocol hot region when a profiler is installed; otherwise
-   one match and straight into [f]. Regions that suspend under the
-   concurrent runtime accumulate inclusive wall time (see
-   [Profile]) — still a pure observation either way. *)
-let profile t name f =
-  match t.hooks.profiler with None -> f () | Some p -> Profile.wrap p name f
 
 (* Ambient-causality snapshot for the concurrent runtime: opaque, and
    free when no tracer is installed. The runtime captures a mark at

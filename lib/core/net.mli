@@ -91,13 +91,15 @@ val send_raw : t -> src:int -> dst:int -> kind:string -> unit
 
 (** {1 Hooks}
 
-    Observers (tracer, profiler, heat) and runtime seams (hop wait,
-    repair serializer) live in one hooks record beside the protocol
-    state. Hooks hold closures and are never marshalled: {!save} writes
-    the state alone and leaves every hook attached, {!load} returns a
+    Observers (tracer, heat) and runtime seams (hop wait, repair
+    serializer) live in one hooks record beside the protocol state.
+    Hooks hold closures and are never marshalled: {!save} writes the
+    state alone and leaves every hook attached, {!load} returns a
     network with none. Each observer is pure — it sends nothing and
     consults no protocol PRNG — so installing one never changes
-    [Metrics.total].
+    [Metrics.total]. The simulator's self-profiler is not a hook: it
+    rides on the bus's and the engine's own probes, which the driver
+    installs directly.
 
     {2 Causal tracing}
 
@@ -117,24 +119,6 @@ val with_op : t -> kind:string -> (unit -> 'a) -> 'a
 val set_tracer : t -> Baton_obs.Trace.t option -> unit
 val tracer : t -> Baton_obs.Trace.t option
 
-(** {2 Self-profiling}
-
-    An optional {!Baton_obs.Profile} meters the {e simulator process}:
-    wall-clock cost of the protocol hot regions and of bus delivery
-    (via a {!Baton_sim.Bus.probe} this installs), GC pressure, raw
-    event throughput. The mirror image of the tracer — it observes the
-    machine, never the simulated world: probes send
-    nothing, consult no PRNG and read no virtual clock, so same-seed
-    runs count byte-identical [Metrics] and latency digests with
-    profiling on or off (guard-tested). Its numbers are inherently
-    non-deterministic and must stay out of seeded byte comparisons. *)
-
-val set_profiler : t -> Baton_obs.Profile.t option -> unit
-(** Install the profiler (wiring the bus delivery probe) or remove it
-    (restoring the probe-free fast path). *)
-
-val profiler : t -> Baton_obs.Profile.t option
-
 (** {2 Demand heat}
 
     An optional {!Baton_obs.Heat} instrument attributes every
@@ -145,7 +129,7 @@ val profiler : t -> Baton_obs.Profile.t option
     the hop where the operation terminates — while accessed keys and
     ranges feed its heavy-hitter sketch and key-space histogram.
     Timed-out and unreachable attempts, and notifications to absent
-    peers, are never attributed: nobody handled them. A fourth pure
+    peers, are never attributed: nobody handled them. A pure
     observer — it sends nothing and consults no protocol PRNG, so heat
     on vs. off leaves [Metrics.total] and the latency digests
     byte-identical (guard-tested). *)
@@ -170,11 +154,6 @@ val heat_access : t -> peer:int -> int -> unit
 val heat_access_range : t -> peer:int -> lo:int -> hi:int -> unit
 (** Record one range access (see {!Baton_obs.Heat.access_range}); a
     no-op without an instrument. *)
-
-val profile : t -> string -> (unit -> 'a) -> 'a
-(** [profile t name f] times [f] under the installed profiler's [name]
-    region — just [f ()] when no profiler is installed. Used by the
-    protocol hot paths ({!Search}, {!Restructure}, {!Failure}). *)
 
 type trace_mark
 (** Snapshot of the tracer's ambient causal state (open episode +

@@ -118,12 +118,8 @@ let split_with (x : Node.t) (y : Node.t) =
   let moved = Sorted_store.split_below x.Node.store m in
   Sorted_store.absorb y.Node.store moved
 
-let rec forced_join net ~parent:(x : Node.t) new_id =
-  Net.with_op net ~kind:Msg.op_restructure (fun () ->
-      Net.profile net Baton_obs.Profile.s_restructure (fun () ->
-          forced_join_run net ~parent:x new_id))
-
-and forced_join_run net ~parent:(x : Node.t) new_id =
+let forced_join net ~parent:(x : Node.t) new_id =
+  Net.with_op net ~kind:Msg.op_restructure @@ fun () ->
   if Option.is_none (Node.child x `Left) && Node.tables_full x then begin
     (* Safe: a plain accept (left slot is free, so the joiner becomes
        the left child and takes the lower half). *)
@@ -153,12 +149,8 @@ and forced_join_run net ~parent:(x : Node.t) new_id =
     y
   end
 
-let rec forced_leave net (x : Node.t) =
-  Net.with_op net ~kind:Msg.op_restructure (fun () ->
-      Net.profile net Baton_obs.Profile.s_restructure (fun () ->
-          forced_leave_run net x))
-
-and forced_leave_run net (x : Node.t) =
+let forced_leave net (x : Node.t) =
+  Net.with_op net ~kind:Msg.op_restructure @@ fun () ->
   let pos = x.Node.pos in
   if Wiring.safe_leaf_removal net pos then begin
     Wiring.retract net x ~kind:Msg.restructure;

@@ -121,9 +121,7 @@ let cache_consult net ~(from : Node.t) v =
   match Net.route_cache_capacity net with
   | None -> None
   | Some _ when Range.contains from.Node.range v -> None
-  | Some _ ->
-    Net.profile net Baton_obs.Profile.s_cache @@ fun () ->
-    (
+  | Some _ -> (
     match Route_cache.find from.Node.cache v with
     | None ->
       Net.event net Msg.ev_cache_miss;
@@ -191,7 +189,6 @@ let cache_learn net ~(from : Node.t) (dest : Node.t) v ~hops =
    answers in one (auxiliary) hop; otherwise the tree walk runs and its
    destination is remembered. *)
 let exact_routed net ~kind ~from v =
-  Net.profile net Baton_obs.Profile.s_exact @@ fun () ->
   match cache_consult net ~from v with
   | Some node ->
     (* The validated probe — booked [aux] at [node] — terminated the
@@ -436,6 +433,4 @@ let range_walk ?par net ~from ~lo ~hi =
 let range ?par net ~from ~lo ~hi =
   if lo > hi then invalid_arg "Search.range: lo > hi";
   Net.with_op net ~kind:Msg.op_range (fun () ->
-      measured net (fun () ->
-          Net.profile net Baton_obs.Profile.s_range (fun () ->
-              range_walk ?par net ~from ~lo ~hi)))
+      measured net (fun () -> range_walk ?par net ~from ~lo ~hi))

@@ -4,12 +4,10 @@
     Everything else in [lib/obs] observes the {e simulated} world —
     virtual clocks, message counts, causal traces. This module observes
     the {e simulator}: how many wall-clock milliseconds the process
-    spends inside each hot region (engine event dispatch, bus delivery,
-    search routing, route-cache probes, restructuring, repair), how many
-    engine events it retires per wall second, and how much garbage it
-    generates doing so. It is the baseline-and-regression instrument for
-    the million-peer hot-path rewrite: before flattening the substrate
-    we need to know where the wall time goes.
+    spends in each layer (engine event dispatch, bus delivery, each
+    observer callback, the engine loop around them), how many engine
+    events it retires per wall second, and how much garbage it
+    generates doing so.
 
     A profiler is strictly one-way: probes read [Unix.gettimeofday] and
     [Gc.quick_stat] and write into private accumulators. No message is
@@ -21,13 +19,13 @@
     fields, which is why the bench report isolates them in a [profile]
     section excluded from same-seed byte comparisons.
 
-    Region semantics: [enter]/[leave] time the {e outermost} activation
-    of each subsystem (re-entrant activations nest without double
-    counting). Under the concurrent runtime an operation-level region
-    such as {!s_exact} suspends at every hop, so its wall time includes
-    whatever other fibers executed while it was parked — treat
-    {!s_dispatch}, which never suspends, as the ground-truth busy meter
-    and the operation regions as inclusive attribution hints. *)
+    {b Self time.} Spans nest on one stack. Each row is billed its
+    {e self} time: a span's wall time minus the time its child spans
+    covered. The {!s_loop} row holds the wall time outside every span,
+    so the rows of {!subsystems} add up to {!elapsed_ms}. That holds
+    only for spans that never suspend: feed the profiler from the
+    engine's dispatch probe, the bus's delivery probe and synchronous
+    callbacks — never from an operation that parks its fiber. *)
 
 type t
 
@@ -35,49 +33,50 @@ val create : unit -> t
 (** Start profiling now: snapshots the wall clock and [Gc.quick_stat]
     as the zero point. *)
 
-(** {1 Canonical subsystem names}
-
-    Probes may use any string; these are the names the driver wires up
-    and the bench schema documents. *)
+(** {1 Canonical row names} *)
 
 val s_dispatch : string
-(** ["engine.dispatch"] — one engine event popped and executed. Its
-    call count is the engine's event throughput numerator. *)
+(** ["engine.dispatch"] — one engine event popped and executed, minus
+    the deliveries and observer callbacks inside it. Its call count is
+    the engine's event throughput numerator. *)
 
 val s_delivery : string
 (** ["bus.delivery"] — one message transiting {!Baton_sim.Bus.send}
     (metrics, subscribers, fault layers). *)
 
-val s_exact : string
-(** ["search.exact"] — one exact-routing walk (cache consult + tree
-    walk), including range-locate steps. *)
+val s_loop : string
+(** ["engine.loop"] — the wall time outside every span: event-queue
+    pops, the runtime's scheduling, the probes' own overhead. Computed,
+    never entered; {!subsystems} reports it with one call. *)
 
-val s_range : string
-(** ["search.range"] — one range operation (locate + both sweeps). *)
+val s_monitor : string
+(** ["monitor.tick"] — one health-monitor sample. *)
 
-val s_cache : string
-(** ["cache.probe"] — one route-cache consult (lookup + validation
-    probe). *)
+val s_series : string
+(** ["series.sample"] — one time-series sample. *)
 
-val s_restructure : string
-(** ["restructure"] — one forced join/leave restructuring operation. *)
-
-val s_repair : string
-(** ["repair"] — one failure-repair operation. *)
+val s_oracle : string
+(** ["oracle.check"] — one consistency-oracle verdict on a read. *)
 
 (** {1 Probes} *)
 
 val enter : t -> string -> unit
-(** Open an activation of the named region. Nested activations of the
-    same region are counted as calls but only the outermost one
-    accumulates wall time. *)
+(** Open a span of the named row, nested in the span open now. *)
 
-val leave : t -> string -> unit
-(** Close the most recent activation of the named region.
-    @raise Invalid_argument if the region has no open activation. *)
+val leave : t -> unit
+(** Close the most recently opened span and bill its self time.
+    @raise Invalid_argument if no span is open. *)
 
-val wrap : t -> string -> (unit -> 'a) -> 'a
-(** [wrap t name f] = [enter]; [f ()]; [leave] — exception-safe. *)
+val span : t -> string -> (unit -> 'a) -> 'a
+(** [span t name f] = [enter]; [f ()]; [leave] — the span closes even
+    when [f] raises. *)
+
+val engine_probe : t -> Baton_sim.Engine.probe
+(** A dispatch probe spanning each engine event as {!s_dispatch}. *)
+
+val bus_probe : t -> Baton_sim.Bus.probe
+(** A delivery probe timing each send as {!s_delivery}: a leaf, billed
+    to the enclosing span without pushing a frame. *)
 
 val stop : t -> unit
 (** Freeze {!elapsed_ms}. Further probes still accumulate (harmless);
@@ -86,13 +85,14 @@ val stop : t -> unit
 (** {1 Readouts} *)
 
 val calls : t -> string -> int
-(** Activations of a region so far (0 if never entered). *)
+(** Closed spans of a row so far (0 if never entered). *)
 
-val wall_ms : t -> string -> float
-(** Cumulative outermost wall-clock milliseconds of a region. *)
+val self_ms : t -> string -> float
+(** Self wall-clock milliseconds of a row. *)
 
 val subsystems : t -> (string * int * float) list
-(** All [(name, calls, wall_ms)] triples, sorted by name. *)
+(** All [(name, calls, self_ms)] triples, {!s_loop} included, sorted by
+    name. Their self times sum to {!elapsed_ms}. *)
 
 val elapsed_ms : t -> float
 (** Wall milliseconds from [create] to [stop] (or to now if still
@@ -110,16 +110,14 @@ val now_ms : unit -> float
     callers measuring adjacent phases agree with the profiler about
     what time it is. *)
 
-val gc_json : t -> Json.t
-(** GC pressure since [create]: minor/major/compaction counts and
-    minor/promoted/major word deltas, plus the current top-heap size. *)
-
 val json : t -> Json.t
 (** The bench report's [profile] section: total wall ms, events,
-    events/s, {!gc_json} and a per-subsystem [{calls; wall_ms}] map.
-    Every field is wall-clock-derived and therefore non-deterministic —
-    never include it in a same-seed byte comparison. *)
+    events/s, GC pressure since [create] (minor/major/compaction counts,
+    minor/promoted/major word deltas, current top-heap size) and a
+    per-row [{calls; self_ms}] map. Every field is wall-clock-derived
+    and therefore non-deterministic — never include it in a same-seed
+    byte comparison. *)
 
 val table : t -> string
-(** Human-readable per-subsystem table (calls, wall ms, share of
-    elapsed), widest region first. *)
+(** Human-readable per-row table (calls, self ms, share of elapsed),
+    widest row first. *)

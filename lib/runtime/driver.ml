@@ -103,6 +103,12 @@ let config ?(overlay = "baton") ?(seed = 2005) ?(keys_per_node = 5)
     invalid_arg "Driver.config: negative monitor_every_ms";
   if series_every_ms < 0. then
     invalid_arg "Driver.config: negative series_every_ms";
+  (match arrival with
+  | Closed { think_ms } when think_ms < 0. ->
+    invalid_arg "Driver.config: negative think_ms"
+  | Open { rate_per_s } when rate_per_s <= 0. ->
+    invalid_arg "Driver.config: rate_per_s <= 0"
+  | Closed _ | Open _ -> ());
   if not (String.equal overlay "baton") then begin
     if fault_schedule <> [] then
       invalid_arg "Driver.config: fault schedules require the baton runtime";
@@ -347,6 +353,13 @@ let run_baton cfg =
       ~hooks:{ Partition.peers_in_order; pick_subtree; crash; note }
       cfg.fault_schedule
   end;
+  (* Self-profiler, created just before the drain (below) so its clock
+     and GC zero point cover the measured phase alone. The observer
+     callbacks bill their own rows to it through [observe]. *)
+  let profiler = ref None in
+  let observe name f =
+    match !profiler with None -> f () | Some p -> Profile.span p name f
+  in
   let completed = ref 0 and failed = ref 0 in
   (* Completion instant of the last finished operation — the measured
      duration. [Runtime.now] after the drain would also include
@@ -401,11 +414,13 @@ let run_baton cfg =
       | Some o -> (
         match outcome with
         | `Lookup (k, (r : Baton.Search.result)) ->
+          observe Profile.s_oracle @@ fun () ->
           ignore
             (Oracle.check_exact o ?trace:(latest_trace ()) ~started ~finished
                ~key:k ~found:r.found ~complete:r.complete ()
               : Oracle.verdict)
         | `Ranged (lo, hi, (r : Baton.Search.result)) ->
+          observe Profile.s_oracle @@ fun () ->
           ignore
             (Oracle.check_range o ?trace:(latest_trace ()) ~started ~finished
                ~lo ~hi ~keys:r.keys ~complete:r.complete ~holes:r.holes ()
@@ -425,7 +440,6 @@ let run_baton cfg =
   in
   (match cfg.arrival with
   | Closed { think_ms } ->
-    if think_ms < 0. then invalid_arg "Driver.run: negative think_ms";
     (* Closed loop: [clients] fibers, each picking the next unissued
        operation as soon as its previous one completes. *)
     let next = ref 0 in
@@ -442,7 +456,6 @@ let run_baton cfg =
       Runtime.spawn rt client ~on_done:(fun _ -> ())
     done
   | Open { rate_per_s } ->
-    if rate_per_s <= 0. then invalid_arg "Driver.run: rate_per_s <= 0";
     (* Open loop: operations arrive on a seeded exponential process at
        the aggregate rate, regardless of completions. *)
     let arng = Rng.create ((cfg.seed * 41) + 3) in
@@ -466,6 +479,7 @@ let run_baton cfg =
     else begin
       let mon = Baton.Monitor.create net in
       Engine.every engine ~period:cfg.monitor_every_ms (fun () ->
+          observe Profile.s_monitor @@ fun () ->
           ignore
             (Baton.Monitor.tick mon ~time:(Engine.now engine)
               : Baton.Monitor.sample);
@@ -492,6 +506,7 @@ let run_baton cfg =
     else begin
       let s = Series.create () in
       Engine.every engine ~period:cfg.series_every_ms (fun () ->
+          observe Profile.s_series @@ fun () ->
           let health_rank =
             match monitor with
             | None -> -1.
@@ -533,31 +548,24 @@ let run_baton cfg =
   in
   (* Self-profiler: meters the host process around the measured phase
      only (setup is excluded, like every other measurement). The engine
-     probe times event dispatch — the ground-truth busy meter — and
-     [Net.set_profiler] wires the bus-delivery probe plus the protocol
-     regions. Detached right after the drain so the report holds a
-     closed interval. *)
-  let profiler =
-    if not cfg.profile then None
-    else begin
-      let p = Profile.create () in
-      Net.set_profiler net (Some p);
-      Engine.set_probe engine
-        (Some
-           {
-             Engine.before = (fun () -> Profile.enter p Profile.s_dispatch);
-             after = (fun () -> Profile.leave p Profile.s_dispatch);
-           });
-      Some p
-    end
-  in
+     probe spans every event dispatch and the bus probe bills each
+     delivery inside it; with the observer rows above they tile the
+     drain's wall. Detached right after the drain so the report holds
+     a closed interval. *)
+  if cfg.profile then begin
+    let p = Profile.create () in
+    Bus.set_probe (Net.bus net) (Some (Profile.bus_probe p));
+    Engine.set_probe engine (Some (Profile.engine_probe p));
+    profiler := Some p
+  end;
   Runtime.run rt;
+  let profiler = !profiler in
   (match profiler with
   | None -> ()
   | Some p ->
     Profile.stop p;
     Engine.set_probe engine None;
-    Net.set_profiler net None);
+    Bus.set_probe (Net.bus net) None);
   let duration_ms = !last_done in
   {
     cfg;

@@ -82,11 +82,13 @@ type config = {
           ring. *)
   profile : bool;
       (** meter the simulator process itself during the measured phase
-          ({!Baton_obs.Profile}): wall-clock per hot region, GC deltas,
-          raw engine-event throughput. Metrics-neutral — the probes
-          observe the machine, never the simulated world — but its
-          numbers are inherently non-deterministic and appear only
-          inside the report's ["profile"] subtree. *)
+          ({!Baton_obs.Profile}): self wall-clock of engine dispatch,
+          bus delivery, each observer callback and the engine loop —
+          rows that add up to the phase's wall — plus GC deltas and raw
+          engine-event throughput. Metrics-neutral — the probes observe
+          the machine, never the simulated world — but its numbers are
+          inherently non-deterministic and appear only inside the
+          report's ["profile"] subtree. *)
   heat : bool;
       (** install the demand-heat instrument ({!Baton_obs.Heat}) on the
           network for the measured phase: per-peer load attribution
@@ -134,7 +136,8 @@ val config :
     monitoring off, time series off, profiling off, heat off, no fault
     schedule, oracle off. The overlay name is canonicalized (aliases resolve).
     @raise Invalid_argument on non-positive sizes, a negative sampling
-    period, or a baton-only feature requested for another overlay.
+    period, a negative think time, a non-positive open-loop rate, or a
+    baton-only feature requested for another overlay.
     @raise P2p_overlay.Overlay.Unknown_overlay for an unregistered
     overlay name. *)
 

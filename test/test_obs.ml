@@ -6,7 +6,6 @@ module Bus = Baton_sim.Bus
 module Metrics = Baton_sim.Metrics
 module Rng = Baton_util.Rng
 module Trace = Baton_obs.Trace
-module Profile = Baton_obs.Profile
 module Heat = Baton_obs.Heat
 module Gauge = Baton_obs.Gauge
 module Json = Baton_obs.Json
@@ -161,14 +160,15 @@ let hooked_net () =
   let net = N.build ~seed:3 50 in
   let tr = traced net in
   Net.set_heat net (Some (Heat.create ~lo:1 ~hi:1_000_000_000 ()));
-  let prof = Profile.create () in
-  Net.set_profiler net (Some prof);
-  (net, tr, prof)
+  let deliveries = ref 0 in
+  Bus.set_probe (Net.bus net)
+    (Some { Bus.before = (fun () -> ()); after = (fun () -> incr deliveries) });
+  (net, tr, deliveries)
 
 let snap_path () = Filename.temp_file "baton_obs" ".snap"
 
 let test_save_keeps_hooks () =
-  let net, tr, prof = hooked_net () in
+  let net, tr, deliveries = hooked_net () in
   let file = snap_path () in
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
@@ -176,13 +176,13 @@ let test_save_keeps_hooks () =
       Net.save net file;
       Alcotest.(check bool) "tracer attached" true (Option.is_some (Net.tracer net));
       Alcotest.(check bool) "heat attached" true (Option.is_some (Net.heat net));
-      Alcotest.(check bool) "profiler attached" true
-        (Option.is_some (Net.profiler net));
-      let deliveries = Profile.calls prof Profile.s_delivery in
+      Alcotest.(check bool) "probe attached" true
+        (Option.is_some (Bus.probe (Net.bus net)));
+      let before = !deliveries in
       let episodes = Trace.episode_count tr in
       ignore (Search.exact net ~from:(Net.random_peer net) 123_456);
       Alcotest.(check bool) "delivery probe still fires" true
-        (Profile.calls prof Profile.s_delivery > deliveries);
+        (!deliveries > before);
       Alcotest.(check int) "tracer still records" (episodes + 1)
         (Trace.episode_count tr))
 
@@ -216,8 +216,6 @@ let test_load_has_no_hooks () =
       Alcotest.(check int) "roundtrip size" (Net.size net) (Net.size restored);
       Alcotest.(check bool) "no tracer" true (Option.is_none (Net.tracer restored));
       Alcotest.(check bool) "no heat" true (Option.is_none (Net.heat restored));
-      Alcotest.(check bool) "no profiler" true
-        (Option.is_none (Net.profiler restored));
       Alcotest.(check bool) "no hop wait" true
         (Option.is_none (Net.hop_wait restored));
       Alcotest.(check bool) "no probe" true

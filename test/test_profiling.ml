@@ -11,56 +11,92 @@ module Bench_diff = Baton_runtime.Bench_diff
 
 (* --- Profile ------------------------------------------------------- *)
 
+(* Burn [ms] of wall time on the spot (sleeping could yield the CPU,
+   which is fine too, but spinning keeps the test short and exact). *)
+let spin ms =
+  let until = Unix.gettimeofday () +. (ms /. 1000.) in
+  while Unix.gettimeofday () < until do
+    ()
+  done
+
+let sum_rows p =
+  List.fold_left (fun acc (_, _, self) -> acc +. self) 0. (Profile.subsystems p)
+
 let test_profile_regions () =
   let p = Profile.create () in
   for _ = 1 to 5 do
-    Profile.wrap p Profile.s_exact (fun () -> ())
+    Profile.span p "a" (fun () -> ())
   done;
-  Profile.wrap p Profile.s_range (fun () -> ());
-  Alcotest.(check int) "five exact calls" 5 (Profile.calls p Profile.s_exact);
-  Alcotest.(check int) "one range call" 1 (Profile.calls p Profile.s_range);
-  Alcotest.(check int) "untouched region" 0 (Profile.calls p Profile.s_repair);
+  Profile.span p "b" (fun () -> ());
+  Alcotest.(check int) "five a calls" 5 (Profile.calls p "a");
+  Alcotest.(check int) "one b call" 1 (Profile.calls p "b");
+  Alcotest.(check int) "untouched row" 0 (Profile.calls p "c");
   Alcotest.(check (list string))
-    "subsystems sorted" [ Profile.s_exact; Profile.s_range ]
+    "subsystems sorted, loop included" [ "a"; "b"; Profile.s_loop ]
     (List.map (fun (name, _, _) -> name) (Profile.subsystems p));
-  Alcotest.(check bool) "wall time non-negative" true
-    (Profile.wall_ms p Profile.s_exact >= 0.)
+  Alcotest.(check bool) "self time non-negative" true
+    (Profile.self_ms p "a" >= 0.)
 
-(* Re-entrant regions bill only the outermost activation: a recursive
-   repair must count one timed interval, not nest-double its wall
-   time. *)
-let test_profile_nesting () =
+(* Self time: a parent is billed its duration minus its children's, a
+   leaf delivery bills its parent without a frame, and the loop row
+   takes the rest — so the rows add up to the elapsed wall. *)
+let test_profile_spans_tile_the_wall () =
   let p = Profile.create () in
-  Profile.wrap p Profile.s_repair (fun () ->
-      Profile.wrap p Profile.s_repair (fun () ->
-          Profile.wrap p Profile.s_repair (fun () -> ())));
-  Alcotest.(check int) "three activations counted" 3
-    (Profile.calls p Profile.s_repair);
-  (* Depth bookkeeping survived: a fresh activation still closes. *)
-  Profile.wrap p Profile.s_repair (fun () -> ());
-  Alcotest.(check int) "fourth call" 4 (Profile.calls p Profile.s_repair)
+  let bus = Profile.bus_probe p in
+  spin 1.;
+  Profile.span p "outer" (fun () ->
+      spin 1.;
+      Profile.span p "inner" (fun () -> spin 4.);
+      bus.Baton_sim.Bus.before ();
+      spin 2.;
+      bus.Baton_sim.Bus.after ();
+      Profile.span p "inner" (fun () -> spin 4.));
+  Profile.stop p;
+  let self = Profile.self_ms p in
+  Alcotest.(check int) "inner calls" 2 (Profile.calls p "inner");
+  Alcotest.(check int) "one delivery" 1 (Profile.calls p Profile.s_delivery);
+  (* Spins end on the first clock reading past their deadline; the
+     0.05 ms slack absorbs the clock's rounding at epoch magnitudes. *)
+  let at_least ms row = self row >= ms -. 0.05 in
+  Alcotest.(check bool) "inner billed its own spin" true (at_least 8. "inner");
+  Alcotest.(check bool) "delivery billed its own spin" true
+    (at_least 2. Profile.s_delivery);
+  Alcotest.(check bool) "outer excludes its children" true
+    (at_least 1. "outer" && self "outer" < self "inner");
+  Alcotest.(check bool) "loop holds the wall outside spans" true
+    (at_least 1. Profile.s_loop && self Profile.s_loop < self "inner");
+  Alcotest.(check (float 1e-6)) "rows add up to the elapsed wall"
+    (Profile.elapsed_ms p) (sum_rows p)
 
 let test_profile_leave_unopened_rejected () =
   let p = Profile.create () in
-  Alcotest.check_raises "leave without enter"
-    (Invalid_argument "Profile.leave: \"search.exact\" is not open")
-    (fun () -> Profile.leave p Profile.s_exact)
+  let unbalanced = Invalid_argument "Profile.leave: no open span" in
+  Alcotest.check_raises "leave without enter" unbalanced (fun () ->
+      Profile.leave p);
+  Profile.enter p "a";
+  Profile.leave p;
+  Alcotest.check_raises "second leave" unbalanced (fun () -> Profile.leave p);
+  Alcotest.(check int) "the balanced pair counted" 1 (Profile.calls p "a")
 
-let test_profile_wrap_reraises () =
+let test_profile_span_reraises () =
   let p = Profile.create () in
-  (try Profile.wrap p Profile.s_exact (fun () -> failwith "boom")
-   with Failure _ -> ());
-  Alcotest.(check int) "failed call still counted" 1
-    (Profile.calls p Profile.s_exact);
-  (* The region closed despite the exception: a new wrap is billed as a
-     fresh outermost activation, not swallowed as nested. *)
-  Profile.wrap p Profile.s_exact (fun () -> ());
-  Alcotest.(check int) "region reusable" 2 (Profile.calls p Profile.s_exact)
+  Alcotest.check_raises "exception passes through" (Failure "boom")
+    (fun () -> Profile.span p "a" (fun () -> failwith "boom"));
+  Alcotest.(check int) "failed call still counted" 1 (Profile.calls p "a");
+  (* The span closed despite the exception: the stack is empty again. *)
+  Alcotest.check_raises "nothing left open"
+    (Invalid_argument "Profile.leave: no open span") (fun () ->
+      Profile.leave p);
+  Profile.span p "a" (fun () -> ());
+  Alcotest.(check int) "row reusable" 2 (Profile.calls p "a");
+  Profile.stop p;
+  Alcotest.(check (float 1e-6)) "still tiles the wall" (Profile.elapsed_ms p)
+    (sum_rows p)
 
 let test_profile_json_shape () =
   let p = Profile.create () in
-  Profile.wrap p Profile.s_dispatch (fun () -> ());
-  Profile.wrap p Profile.s_dispatch (fun () -> ());
+  Profile.span p Profile.s_dispatch (fun () -> ());
+  Profile.span p Profile.s_dispatch (fun () -> ());
   Profile.stop p;
   let doc = Profile.json p in
   let get k = Option.get (Json.member k doc) in
@@ -74,9 +110,12 @@ let test_profile_json_shape () =
         Alcotest.(check bool) ("gc." ^ k) true (List.mem_assoc k fields))
       [ "minor_collections"; "major_collections"; "minor_words" ]
   | other -> Alcotest.failf "gc: %s" (Json.to_string other));
-  (match Json.member "engine.dispatch" (get "subsystems") with
-  | Some (Json.Obj _) -> ()
-  | _ -> Alcotest.fail "subsystems.engine.dispatch missing");
+  List.iter
+    (fun name ->
+      match Json.member name (get "subsystems") with
+      | Some (Json.Obj [ ("calls", Json.Int _); ("self_ms", Json.Float _) ]) -> ()
+      | _ -> Alcotest.failf "subsystems.%s missing or misshapen" name)
+    [ Profile.s_dispatch; Profile.s_loop ];
   Alcotest.(check bool) "elapsed frozen by stop" true
     (Profile.elapsed_ms p >= 0.);
   Alcotest.(check bool) "table mentions dispatch" true
@@ -209,10 +248,46 @@ let test_probes_are_metrics_neutral () =
     (match on.Driver.series with
     | Some s -> Series.recorded s > 0
     | None -> false);
-  Alcotest.(check bool) "profile json present" true
-    (on.Driver.profile_json <> Json.Null);
   Alcotest.(check bool) "unprofiled report stays null" true
-    (off.Driver.profile_json = Json.Null && off.Driver.series = None)
+    (off.Driver.profile_json = Json.Null && off.Driver.series = None);
+  (* The profile's rows tile the measured wall, and each observer row
+     counts one call per observation. *)
+  let prof = on.Driver.profile_json in
+  let int_at path doc =
+    match List.fold_left (fun d k -> Option.bind d (Json.member k)) (Some doc) path with
+    | Some (Json.Int i) -> i
+    | _ -> Alcotest.failf "no int at %s" (String.concat "." path)
+  in
+  let rows =
+    match Json.member "subsystems" prof with
+    | Some (Json.Obj rows) -> rows
+    | _ -> Alcotest.fail "profile.subsystems missing"
+  in
+  let self_sum =
+    List.fold_left
+      (fun acc (name, row) ->
+        match Json.member "self_ms" row with
+        | Some (Json.Float ms) -> acc +. ms
+        | _ -> Alcotest.failf "%s has no self_ms" name)
+      0. rows
+  in
+  let wall = on.Driver.wall_ms in
+  Alcotest.(check bool)
+    (Printf.sprintf "rows sum %.3f ms to the wall %.3f ms" self_sum wall)
+    true
+    (wall > 0. && Float.abs (self_sum -. wall) <= 0.01 *. wall);
+  let calls name = int_at [ "subsystems"; name; "calls" ] prof in
+  Alcotest.(check int) "dispatch calls are the events"
+    (int_at [ "events" ] prof) (calls Profile.s_dispatch);
+  Alcotest.(check int) "one monitor row call per tick"
+    (int_at [ "summary"; "ticks" ] on.Driver.health)
+    (calls Profile.s_monitor);
+  Alcotest.(check int) "one series row call per sample"
+    (Series.recorded (Option.get on.Driver.series))
+    (calls Profile.s_series);
+  Alcotest.(check int) "one oracle row call per verdict"
+    (Baton_obs.Oracle.checked (Option.get on.Driver.oracle))
+    (calls Profile.s_oracle)
 
 (* The time series itself is deterministic: same seed, same samples,
    byte for byte. *)
@@ -357,12 +432,12 @@ let test_engine_probe_counts_events () =
 let suite =
   [
     Alcotest.test_case "profile region accounting" `Quick test_profile_regions;
-    Alcotest.test_case "profile nesting bills outermost" `Quick
-      test_profile_nesting;
+    Alcotest.test_case "profile spans tile the wall" `Quick
+      test_profile_spans_tile_the_wall;
     Alcotest.test_case "profile rejects unbalanced leave" `Quick
       test_profile_leave_unopened_rejected;
-    Alcotest.test_case "profile wrap survives exceptions" `Quick
-      test_profile_wrap_reraises;
+    Alcotest.test_case "profile span survives exceptions" `Quick
+      test_profile_span_reraises;
     Alcotest.test_case "profile json shape" `Quick test_profile_json_shape;
     Alcotest.test_case "series ring bounds + eviction" `Quick
       test_series_ring_bounds;

@@ -285,6 +285,27 @@ let test_churn_health_series () =
   Alcotest.(check string) "health section byte-identical across runs" doc
     (health ())
 
+(* The arrival model is validated with the rest of the config, before
+   anything is built — also for overlays whose sequential path never
+   reads it. *)
+let test_config_rejects_negative_think () =
+  Alcotest.check_raises "negative think_ms"
+    (Invalid_argument "Driver.config: negative think_ms") (fun () ->
+      ignore
+        (Driver.config ~overlay:"multiway"
+           ~arrival:(Driver.Closed { think_ms = -5. })
+           ~n:20 ~mix:Driver.read_heavy ()
+          : Driver.config))
+
+let test_config_rejects_zero_rate () =
+  Alcotest.check_raises "rate_per_s = 0"
+    (Invalid_argument "Driver.config: rate_per_s <= 0") (fun () ->
+      ignore
+        (Driver.config ~overlay:"chord"
+           ~arrival:(Driver.Open { rate_per_s = 0. })
+           ~n:20 ~mix:Driver.read_heavy ()
+          : Driver.config))
+
 let suite =
   [
     Alcotest.test_case "sleep/virtual clock" `Quick test_sleep_and_clock;
@@ -300,4 +321,8 @@ let suite =
     Alcotest.test_case "monitor is workload-neutral" `Quick
       test_monitor_is_workload_neutral;
     Alcotest.test_case "churn health series" `Quick test_churn_health_series;
+    Alcotest.test_case "config rejects negative think" `Quick
+      test_config_rejects_negative_think;
+    Alcotest.test_case "config rejects zero open rate" `Quick
+      test_config_rejects_zero_rate;
   ]
