@@ -41,6 +41,13 @@ let capacity_arg =
     & info [ "balance-capacity" ] ~docv:"C"
         ~doc:"Enable load balancing with this per-node capacity.")
 
+(* Range-query span of the demo workloads: five peers' worth of the key
+   domain, clamped to the domain so networks under five peers still draw
+   a valid range. *)
+let range_span nodes =
+  let width = Datagen.domain_hi - Datagen.domain_lo in
+  min width (width / max 1 nodes * 5)
+
 let print_kind_breakdown metrics =
   Printf.printf "\nMessage breakdown by kind:\n";
   List.iter
@@ -93,7 +100,7 @@ let simulate nodes seed keys_per_node queries zipf capacity =
         float_of_int r.Baton.Search.hops)
   in
   Printf.printf "Exact queries:  %s\n" (Stats.summary exact_hops);
-  let span = (Datagen.domain_hi - Datagen.domain_lo) / max 1 nodes * 5 in
+  let span = range_span nodes in
   let range_hops =
     Array.init queries (fun _ ->
         let lo = Rng.int_in_range qrng ~lo:Datagen.domain_lo ~hi:(Datagen.domain_hi - span) in
@@ -212,7 +219,7 @@ let trace_causal nodes seed json =
   let tracer = Trace.create () in
   Trace.use_engine tracer (Runtime.engine rt);
   Net.set_tracer net (Some tracer);
-  let span = (Datagen.domain_hi - Datagen.domain_lo) / max 1 nodes * 5 in
+  let span = range_span nodes in
   let lo =
     Rng.int_in_range
       (Rng.create (seed + 2))
@@ -245,40 +252,31 @@ let trace_causal nodes seed json =
 let trace nodes seed key json causal =
   if causal then trace_causal nodes seed json
   else
+  let module Trace = Baton_obs.Trace in
   let net = N.build ~seed nodes in
-  if json then begin
-    (* Machine-readable trace of the query's episode: the tracer is
-       installed after the build, so exactly the query's hops are
-       exported. Everything downstream of the seed is deterministic, so
-       two same-seed runs emit byte-identical JSONL. *)
-    let tracer = Baton_obs.Trace.create ~capacity:1 () in
-    Net.set_tracer net (Some tracer);
-    ignore (Baton.Search.exact net ~from:(Net.random_peer net) key);
-    Net.set_tracer net None;
-    match Baton_obs.Trace.latest tracer with
-    | Some ep -> print_string (Baton_obs.Trace.episode_jsonl ep)
-    | None -> prerr_endline "baton trace: no episode was traced"; exit 1
-  end
-  else begin
-    let hops = ref [] in
-    let sub =
-      Baton_sim.Bus.subscribe (Net.bus net) (fun ~src ~dst ~kind ->
-          hops := (src, dst, kind) :: !hops)
-    in
-    let origin = Net.random_peer net in
-    let outcome = Baton.Search.exact net ~from:origin key in
-    Baton_sim.Bus.unsubscribe (Net.bus net) sub;
+  (* The tracer is installed after the build, so exactly the query's
+     hops are recorded. Everything downstream of the seed is
+     deterministic, so two same-seed runs print identical bytes. *)
+  let tracer = Trace.create ~capacity:1 () in
+  Net.set_tracer net (Some tracer);
+  let origin = Net.random_peer net in
+  let outcome = Baton.Search.exact net ~from:origin key in
+  Net.set_tracer net None;
+  match Trace.latest tracer with
+  | None -> prerr_endline "baton trace: no episode was traced"; exit 1
+  | Some ep when json -> print_string (Trace.episode_jsonl ep)
+  | Some ep ->
     Printf.printf "exact search for key %d from peer %d:\n" key origin.Node.id;
     Printf.printf "  start  %s\n" (Baton.Viz.node_line origin);
     List.iter
-      (fun (src, dst, kind) ->
-        let node = Net.peer net dst in
-        Printf.printf "  %d->%d  %s  (%s)\n" src dst (Baton.Viz.node_line node) kind)
-      (List.rev !hops);
+      (fun (h : Trace.hop) ->
+        Printf.printf "  %d->%d  %s  (%s)\n" h.src h.dst
+          (Baton.Viz.node_line (Net.peer net h.dst))
+          h.msg)
+      (Trace.hops ep);
     Printf.printf "answered at %s in %d hops\n"
       (Baton.Viz.node_line outcome.Baton.Search.node)
       outcome.Baton.Search.hops
-  end
 
 let hist_json h =
   let module Histogram = Baton_util.Histogram in
@@ -380,7 +378,7 @@ let stats nodes seed keys_per_node queries churn_rounds snapshot =
     tick ()
   done;
   let qrng = Rng.create (seed + 2) in
-  let span = (Datagen.domain_hi - Datagen.domain_lo) / max 1 nodes * 5 in
+  let span = range_span nodes in
   for i = 1 to queries do
     (if i mod 4 = 0 then
        let lo =
@@ -461,9 +459,8 @@ let compare_overlays nodes seed ops =
   print_endline "\nall overlays pass their structural checks"
 
 (* Concurrent workload driver: execute a seeded operation mix per
-   selected overlay and emit the BENCH_runtime.json document (baton runs
-   as interleaved fibers on the discrete-event runtime; comparison
-   overlays run the same plan sequentially). *)
+   selected overlay as interleaved fibers on the discrete-event runtime
+   and emit the BENCH_runtime.json document. *)
 let bench_run nodes seed keys_per_node ops clients overlay_names mix_names
     arrival rate think_ms route_cache monitor_every series_every profile heat
     faults oracle out timeseries_out =
@@ -496,15 +493,14 @@ let bench_run nodes seed keys_per_node ops clients overlay_names mix_names
   in
   if has_non_baton && (route_cache || faults <> None) then begin
     Printf.eprintf
-      "--route-cache and --faults require the baton runtime; drop them or \
+      "--route-cache and --faults read BATON's network; drop them or \
        keep --overlay baton\n";
     exit 2
   end;
-  if has_non_baton && (monitor_every > 0. || series_every > 0. || profile || heat)
-  then
+  if has_non_baton && (monitor_every > 0. || heat) then
     Printf.eprintf
-      "note: monitoring, time series, profiling and heat apply to the baton \
-       runtime only; disabled for the other overlays\n";
+      "note: monitoring and heat read BATON's network; disabled for the \
+       other overlays\n";
   let fault_schedule =
     match faults with
     | None -> []
@@ -554,8 +550,8 @@ let bench_run nodes seed keys_per_node ops clients overlay_names mix_names
                   Driver.config ~overlay ~seed ~keys_per_node ~clients ~ops
                     ~arrival ~route_cache
                     ~monitor_every_ms:(if baton then monitor_every else 0.)
-                    ~series_every_ms:(if baton then series_every else 0.)
-                    ~profile:(baton && profile) ~heat:(baton && heat)
+                    ~series_every_ms:series_every ~profile
+                    ~heat:(baton && heat)
                     ~fault_schedule ~oracle ~n:nodes ~mix ()
                 with
                 | cfg -> cfg
@@ -751,12 +747,14 @@ let bench_scale ns seed keys_per_node ops clients out =
     Printf.eprintf "bench-scale: empty --ns list\n";
     exit 2
   | _ -> ());
+  (* Validate every point up front, before the first (long) run. *)
   List.iter
     (fun n ->
-      if n < 2 then begin
-        Printf.eprintf "bench-scale: n must be >= 2 (got %d)\n" n;
-        exit 2
-      end)
+      match Driver.scale_config ~seed ~keys_per_node ~ops ~clients n with
+      | (_ : Driver.config) -> ()
+      | exception Invalid_argument msg ->
+        Printf.eprintf "%s\n" msg;
+        exit 2)
     ns;
   let t0 = Baton_obs.Profile.now_ms () in
   let reports =
@@ -890,10 +888,10 @@ let overlay_arg =
           "Overlay to drive (baton, chord, multiway, skip-graph) or \
            $(b,all); repeatable — the report carries one section per \
            overlay, same seeded plan and message accounting for each. \
-           Default: baton. Non-baton overlays execute sequentially with \
-           the message count as virtual time; monitoring, time series, \
-           profiling, $(b,--route-cache) and $(b,--faults) are \
-           baton-runtime-only. Unknown names exit 1 listing the valid \
+           Default: baton. Every overlay runs on the fiber runtime with \
+           time series and profiling; monitoring, heat, \
+           $(b,--route-cache) and $(b,--faults) read BATON's network and \
+           apply to baton only. Unknown names exit 1 listing the valid \
            ones.")
 
 let mix_arg =
@@ -1018,8 +1016,8 @@ let oracle_arg =
 let bench_run_cmd =
   let doc =
     "Run the workload driver: seeded operation mixes execute as interleaved \
-     fibers on the discrete-event runtime (baton) or sequentially on any \
-     registered comparison overlay ($(b,--overlay)); reports per-overlay \
+     fibers on the discrete-event runtime, on baton or any registered \
+     comparison overlay ($(b,--overlay)); reports per-overlay \
      sections of virtual-time throughput, per-kind latency percentiles and \
      queue depths as JSON — plus oracle verdicts and fault-scenario \
      accounting when enabled. Deterministic: same seed, byte-identical \

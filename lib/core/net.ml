@@ -7,10 +7,6 @@ module Histogram = Baton_util.Histogram
 
 module Dyn_array = Baton_util.Dyn_array
 
-type hop_outcome = Delivered | Timed_out
-
-type hop_wait = src:int -> dst:int -> kind:string -> outcome:hop_outcome -> unit
-
 (* The position map, keyed by a position's heap index (see [key]) and
    hashed inline: one lookup takes a position straight to its
    occupant. *)
@@ -78,11 +74,6 @@ type hooks = {
      peer's class by kind, and the protocol layer promotes terminal
      hops to [serve] and records key accesses. *)
   mutable heat : Heat.t option;
-  (* Hop suspension for the concurrent runtime: called after every
-     transmitted protocol message so the runtime can suspend the
-     running operation until the simulated delivery (or timeout)
-     instant. [None] keeps every operation synchronous. *)
-  mutable hop_wait : hop_wait option;
   (* Critical section for suspicion-triggered repairs: the driver
      installs its membership lock here so concurrent repairs serialize
      with each other and with joins/leaves. [None] runs them inline. *)
@@ -91,13 +82,7 @@ type hooks = {
 
 type t = { st : state; hooks : hooks }
 
-let no_hooks () =
-  {
-    tracer = None;
-    heat = None;
-    hop_wait = None;
-    repair_serializer = None;
-  }
+let no_hooks () = { tracer = None; heat = None; repair_serializer = None }
 
 let default_retry_limit = 3
 let default_cache_capacity = 128
@@ -309,19 +294,6 @@ let heat_access t ~peer key =
 let heat_access_range t ~peer ~lo ~hi =
   match t.hooks.heat with None -> () | Some h -> Heat.access_range h ~peer ~lo ~hi
 
-(* Ambient-causality snapshot for the concurrent runtime: opaque, and
-   free when no tracer is installed. The runtime captures a mark at
-   every fiber suspension point and reinstates it at resumption, so
-   interleaved operations cannot clobber each other's causal state. *)
-type trace_mark = Trace.mark option
-
-let trace_mark t = Option.map Trace.save t.hooks.tracer
-
-let restore_trace_mark t m =
-  match (t.hooks.tracer, m) with
-  | Some tr, Some m -> Trace.restore tr m
-  | _ -> ()
-
 (* Which overlay link carried a hop from [src] to [dst] — the
    classification the critical-path analysis breaks costs down by.
    Computed from the sender's links as they stand at transmission
@@ -367,9 +339,6 @@ let set_retry_limit t n =
 
 let retry_limit t = t.st.retry_limit
 
-let set_hop_wait t w = t.hooks.hop_wait <- w
-let hop_wait t = t.hooks.hop_wait
-
 let set_repair_serializer t s = t.hooks.repair_serializer <- s
 
 (* Run a structural repair inside the installed critical section (the
@@ -377,23 +346,16 @@ let set_repair_serializer t s = t.hooks.repair_serializer <- s
 let serialize_repair t f =
   match t.hooks.repair_serializer with None -> f () | Some s -> s f
 
-(* Tell the runtime (when one drives this network) that a message was
-   transmitted, so it can charge delivery latency — or a timeout
-   interval — to the running operation's critical path. A no-op in
-   synchronous runs. *)
-let wait_hop t ~src ~dst ~kind outcome =
-  match t.hooks.hop_wait with
-  | None -> ()
-  | Some w -> w ~src ~dst ~kind ~outcome
-
 (* Retransmit on Timeout, up to [retry_limit] extra attempts. Every
    attempt passes over the bus and is counted — the paper's message
    metric stays honest under retries. Unreachable (permanent crash)
    propagates immediately: retrying a dead address cannot help and the
    protocols have dedicated detour logic for it — though discovering
    the silence still costs the sender a timeout interval under the
-   runtime's clock, so the hop hook fires before the exception
-   escapes. *)
+   runtime's clock, so the bus wait runs before the exception escapes.
+   Each attempt is a [Bus.post] plus an explicit [Bus.wait], so the
+   retry and give-up events are counted at the instant the attempt
+   went out. *)
 let send_raw t ~src ~dst ~kind =
   let ev = Bus.metrics t.st.bus in
   (* Classified once, before the first transmission: the links that
@@ -420,9 +382,9 @@ let send_raw t ~src ~dst ~kind =
           ~outcome
       | _ -> ()
     in
-    match Bus.send ?ctx t.st.bus ~src ~dst ~kind with
+    match Bus.post t.st.bus ~src ~dst ~kind with
     | () ->
-      wait_hop t ~src ~dst ~kind Delivered;
+      Bus.wait t.st.bus ~src ~dst Bus.Delivered;
       heat_hop t ~dst ~kind;
       (* Recorded after the wait, so [done_at] is the delivery instant
          under the runtime's clock; the delivered message becomes the
@@ -433,16 +395,16 @@ let send_raw t ~src ~dst ~kind =
       | _ -> ())
     | exception Bus.Timeout _ when k < t.st.retry_limit ->
       Metrics.event ev Msg.ev_retry;
-      wait_hop t ~src ~dst ~kind Timed_out;
+      Bus.wait t.st.bus ~src ~dst Bus.Timed_out;
       record Trace.Timed_out;
       attempt (k + 1)
     | exception (Bus.Timeout _ as e) ->
       Metrics.event ev Msg.ev_give_up;
-      wait_hop t ~src ~dst ~kind Timed_out;
+      Bus.wait t.st.bus ~src ~dst Bus.Timed_out;
       record Trace.Timed_out;
       raise e
     | exception (Bus.Unreachable _ as e) ->
-      wait_hop t ~src ~dst ~kind Timed_out;
+      Bus.wait t.st.bus ~src ~dst Bus.Timed_out;
       record Trace.Unreachable;
       raise e
   in
@@ -505,13 +467,13 @@ let apply_notification t ~src ~dst ~kind ~expect_pos f =
   | None ->
     (* The destination left the network: the message is still sent (and
        counted); it is simply never acted upon. *)
-    (match Bus.send ?ctx t.st.bus ~src ~dst ~kind with
+    (match Bus.post t.st.bus ~src ~dst ~kind with
     | () -> record Trace.Delivered
     | exception Bus.Unreachable _ -> record Trace.Unreachable
     | exception Bus.Timeout _ -> record Trace.Timed_out);
     ev Msg.ev_notify_dropped
   | Some node -> (
-    match Bus.send ?ctx t.st.bus ~src ~dst ~kind with
+    match Bus.post t.st.bus ~src ~dst ~kind with
     | () -> (
       record Trace.Delivered;
       (* The peer handled the notification (even if only to ignore a

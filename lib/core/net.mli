@@ -79,7 +79,9 @@ val send : t -> src:int -> dst:int -> kind:string -> Node.t
     simulator's stand-in for the remote peer processing the message).
     Under an installed fault model, a timed-out attempt is
     retransmitted up to {!retry_limit} times; every attempt is a
-    counted message.
+    counted message. Each attempt is a {!Baton_sim.Bus.post} followed by
+    a {!Baton_sim.Bus.wait}, so under a runtime the sender waits out
+    every delivery and every timeout.
     @raise Baton_sim.Bus.Unreachable if the destination failed.
     @raise Baton_sim.Bus.Timeout if every attempt timed out. *)
 
@@ -91,22 +93,23 @@ val send_raw : t -> src:int -> dst:int -> kind:string -> unit
 
 (** {1 Hooks}
 
-    Observers (tracer, heat) and runtime seams (hop wait, repair
-    serializer) live in one hooks record beside the protocol state.
-    Hooks hold closures and are never marshalled: {!save} writes the
-    state alone and leaves every hook attached, {!load} returns a
-    network with none. Each observer is pure — it sends nothing and
-    consults no protocol PRNG — so installing one never changes
-    [Metrics.total]. The simulator's self-profiler is not a hook: it
-    rides on the bus's and the engine's own probes, which the driver
-    installs directly.
+    Three hooks live in one record beside the protocol state: two
+    observers (tracer, heat) and one runtime seam (the repair
+    serializer). Hooks hold closures and are never marshalled: {!save}
+    writes the state alone and leaves every hook attached, {!load}
+    returns a network with none. Each observer is pure — it sends
+    nothing and consults no protocol PRNG — so installing one never
+    changes [Metrics.total]. The simulator's self-profiler and the
+    runtime's hop suspension are not hooks here: they ride on the bus's
+    probe and wait hook ({!Baton_sim.Bus.set_probe},
+    {!Baton_sim.Bus.set_wait}) and the engine's probe.
 
     {2 Causal tracing}
 
     An optional {!Baton_obs.Trace} collector is the per-operation
     model: it turns every operation run under {!with_op} into one
     episode, a causal tree in which each transmitted message carries a
-    {!Baton_sim.Bus.trace_ctx} naming the episode, its own span and the
+    {!Baton_obs.Trace.ctx} naming the episode, its own span and the
     span that caused it. Same-seed runs count byte-identical [Metrics]
     with tracing on or off. *)
 
@@ -155,16 +158,6 @@ val heat_access_range : t -> peer:int -> lo:int -> hi:int -> unit
 (** Record one range access (see {!Baton_obs.Heat.access_range}); a
     no-op without an instrument. *)
 
-type trace_mark
-(** Snapshot of the tracer's ambient causal state (open episode +
-    current parent span). The concurrent runtime captures one at every
-    fiber suspension point and reinstates it at resumption, so
-    interleaved operations keep their causal trees separate. Opaque,
-    and free when no tracer is installed. *)
-
-val trace_mark : t -> trace_mark
-val restore_trace_mark : t -> trace_mark -> unit
-
 val link_kind : t -> src:int -> dst:int -> kind:string -> string
 (** Classify which overlay link a hop travels
     ({!Msg.link_parent} … {!Msg.link_other}), from the sender's links
@@ -172,35 +165,6 @@ val link_kind : t -> src:int -> dst:int -> kind:string -> string
 
 val event : t -> string -> unit
 (** Count one named simulator event ({!Msg.ev_retry} …) in {!metrics}. *)
-
-(** {2 Hop suspension}
-
-    The concurrent runtime ({!Baton_runtime}) installs a hook that is
-    called after {e every} transmitted protocol message — each delivery
-    and each timed-out attempt — so it can suspend the running
-    operation until the engine's clock reaches the simulated delivery
-    (or timeout-detection) instant. With no hook installed (the
-    default, and the state restored by {!load}) operations run to
-    completion synchronously, exactly as before the runtime existed.
-    The hook observes and delays; it never sends, so installing it
-    cannot change [Metrics.total]. *)
-
-type hop_outcome =
-  | Delivered  (** the destination received the message *)
-  | Timed_out
-      (** no answer will come — the message was lost, the destination
-          is transiently silent, or it is permanently unreachable; the
-          sender only learns this by waiting out its timeout *)
-
-type hop_wait = src:int -> dst:int -> kind:string -> outcome:hop_outcome -> unit
-
-val set_hop_wait : t -> hop_wait option -> unit
-(** Install or remove the hop-suspension hook. The hook applies to
-    request/response protocol hops ({!send} / {!send_raw});
-    fire-and-forget {!notify} messages never block the sender and are
-    not suspended on. *)
-
-val hop_wait : t -> hop_wait option
 
 val set_repair_serializer : t -> ((unit -> unit) -> unit) option -> unit
 (** Install a critical section for suspicion-triggered repairs. Under
@@ -284,15 +248,16 @@ val save : t -> string -> unit
     state) to a file, so an expensive build can be reused across runs.
     The network must be quiescent: deferred notifications pending from
     {!set_defer} cannot be serialised. Only protocol state is written:
-    hooks and bus subscribers stay attached to [t] whether the save
-    succeeds or fails.
+    hooks and the bus's probe and wait hook stay attached to [t] whether
+    the save succeeds or fails.
     @raise Invalid_argument if deferred notifications are pending. *)
 
 val load : string -> t
 (** Restore a network saved by {!save}. The loaded network continues
     deterministically: running the same operations on the original and
     the restored network yields identical results and message counts.
-    The restored network has no hooks and no bus subscribers.
+    The restored network has no hooks, and its bus no probe and no wait
+    hook.
     @raise Incompatible_snapshot if the file is a BATON snapshot of a
     different format version.
     @raise Failure if the file is not a BATON snapshot at all. *)

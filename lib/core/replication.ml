@@ -21,7 +21,7 @@ let sync_one t net (owner : Node.t) =
   match adjacent_holder owner with
   | None -> false (* a single-peer network has nowhere to replicate *)
   | Some holder -> (
-    match Bus.send (Net.bus net) ~src:owner.Node.id ~dst:holder ~kind:Msg.balance with
+    match Bus.post (Net.bus net) ~src:owner.Node.id ~dst:holder ~kind:Msg.balance with
     | () | (exception Bus.Unreachable _) | (exception Bus.Timeout _) ->
       (* The copy travels either way; an unreachable holder simply
          yields a dead replica that recover will skip. *)
@@ -38,7 +38,7 @@ let sync_all t net =
 let on_insert t net ~owner key =
   match Hashtbl.find_opt t.replicas owner.Node.id with
   | Some e -> (
-    match Bus.send (Net.bus net) ~src:owner.Node.id ~dst:e.holder ~kind:Msg.balance with
+    match Bus.post (Net.bus net) ~src:owner.Node.id ~dst:e.holder ~kind:Msg.balance with
     | () -> Sorted_store.insert e.keys key
     | exception Bus.Unreachable _ -> ()
     | exception Bus.Timeout _ -> ())

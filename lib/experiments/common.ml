@@ -38,6 +38,16 @@ let build_multiway ~seed ~n ~keys_per_node =
   in
   (t, keys)
 
+let time_alone rt f =
+  let module Runtime = Baton_runtime.Runtime in
+  let result = ref None in
+  Runtime.spawn rt f ~on_done:(fun r -> result := Some r);
+  Runtime.run rt;
+  match !result with
+  | Some (Ok v) -> (v, Runtime.now rt)
+  | Some (Error e) -> raise e
+  | None -> assert false
+
 let mean = function
   | [] -> 0.
   | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)

@@ -2,10 +2,10 @@
    of the paper's message-count metric.
 
    Table 1 (fan-out): the same range queries, over the same network
-   with the same per-pair latencies, timed two ways — the synchronous
-   hop-sum ([Latency.measure], which charges every transmitted message
-   sequentially) and the runtime's critical path (the two directional
-   sweeps fork into parallel fibers via [Search.range ~par]). The
+   with the same per-pair latencies, timed two ways on the runtime —
+   alone and without fan-out (the serial hop-sum: every message is
+   charged in sequence) and with the two directional sweeps forked into
+   parallel fibers via [Search.range ~par] (the critical path). The
    message multisets are identical; only the clock differs, so the gap
    between the two rows is exactly the parallelism a range query's
    fan-out exposes.
@@ -57,17 +57,15 @@ let fanout (p : Params.t) =
      same walks. *)
   let froms = Array.map (fun _ -> Baton.Net.random_peer net) queries in
   let metrics = Baton.Net.metrics net in
-  (* Synchronous: end-to-end latency is the serial sum of the hop
-     chain. *)
+  (* Serial: each query alone on a fresh runtime without [~par], so its
+     latency is the serial sum of the hop chain. *)
   let cp = Metrics.checkpoint metrics in
   let serial =
     Array.mapi
       (fun i { Querygen.lo; hi } ->
-        let (_ : Baton.Search.result), ms =
-          Latency.measure lat (Baton.Net.bus net) (fun () ->
-              Baton.Search.range net ~from:froms.(i) ~lo ~hi)
-        in
-        ms)
+        snd
+          (Common.time_alone (Runtime.create ~latency:lat net) (fun () ->
+               Baton.Search.range net ~from:froms.(i) ~lo ~hi)))
       queries
   in
   let serial_msgs = Metrics.since metrics cp in

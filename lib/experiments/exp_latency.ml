@@ -2,6 +2,11 @@ module Rng = Baton_util.Rng
 module Stats = Baton_util.Stats
 module Latency = Baton_sim.Latency
 module Querygen = Baton_workload.Querygen
+module Runtime = Baton_runtime.Runtime
+
+(* Each operation runs alone on a fresh runtime and without fan-out, so
+   its latency is the serial sum of its hop delays. *)
+let time rt f = snd (Common.time_alone rt f)
 
 let summarize label samples =
   [
@@ -25,22 +30,16 @@ let run (p : Params.t) =
   let baton_samples =
     Array.map
       (fun k ->
-        let (_ : Baton.Search.result), ms =
-          Latency.measure lat (Baton.Net.bus net) (fun () ->
-              Baton.Search.lookup net ~from:(Baton.Net.random_peer net) k)
-        in
-        ms)
+        time (Runtime.create ~latency:lat net) (fun () ->
+            Baton.Search.lookup net ~from:(Baton.Net.random_peer net) k))
       (Querygen.exact_targets rng ~keys queries)
   in
   (* BATON range queries: latency for a multi-peer answer. *)
   let range_samples =
     Array.map
       (fun { Querygen.lo; hi } ->
-        let (_ : Baton.Search.result), ms =
-          Latency.measure lat (Baton.Net.bus net) (fun () ->
-              Baton.Search.range net ~from:(Baton.Net.random_peer net) ~lo ~hi)
-        in
-        ms)
+        time (Runtime.create ~latency:lat net) (fun () ->
+            Baton.Search.range net ~from:(Baton.Net.random_peer net) ~lo ~hi))
       (Querygen.ranges rng ~span:p.Params.range_span
          ~lo:Baton_workload.Datagen.domain_lo
          ~hi:(Baton_workload.Datagen.domain_hi - 1)
@@ -55,10 +54,8 @@ let run (p : Params.t) =
   let chord_samples =
     Array.map
       (fun k ->
-        let (_ : bool * int), ms =
-          Latency.measure lat (Chord.bus chord) (fun () -> Chord.lookup chord k)
-        in
-        ms)
+        time (Runtime.of_bus ~latency:lat (Chord.bus chord)) (fun () ->
+            Chord.lookup chord k))
       (Querygen.exact_targets crng ~keys:ckeys queries)
   in
   Table.make ~id:"latency"

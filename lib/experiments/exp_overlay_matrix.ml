@@ -285,9 +285,10 @@ let run (p : Params.t) =
           Printf.sprintf
             "N = %d peers, %d ops per cell, identical seeded plan per \
              overlay; chord's failures are its range queries (honestly \
-             unsupported). Baton runs concurrently on the fiber runtime, \
-             the others sequentially — message counts, not wall clock, are \
-             the comparison."
+             unsupported). Every overlay runs on the fiber runtime; the \
+             comparison overlays' queries and inserts share a lock that \
+             their joins and leaves take exclusively, so concurrency moves \
+             their clock, not their message counts."
             n ops;
         ]
       mix_rows

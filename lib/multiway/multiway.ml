@@ -59,6 +59,7 @@ let create ?(seed = 42) ?(fanout = 4) ~domain_lo ~domain_hi () =
 
 let size t = Hashtbl.length t.peers
 let metrics t = Bus.metrics t.bus
+let bus t = t.bus
 let peer t id = Hashtbl.find t.peers id
 
 let peer_ids t =

@@ -25,6 +25,7 @@ val create : ?seed:int -> ?fanout:int -> domain_lo:int -> domain_hi:int -> unit 
 
 val size : t -> int
 val metrics : t -> Baton_sim.Metrics.t
+val bus : t -> Baton_sim.Bus.t
 val peer_ids : t -> int array
 val height : t -> int
 

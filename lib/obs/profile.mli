@@ -41,8 +41,8 @@ val s_dispatch : string
     the engine's event throughput numerator. *)
 
 val s_delivery : string
-(** ["bus.delivery"] — one message transiting {!Baton_sim.Bus.send}
-    (metrics, subscribers, fault layers). *)
+(** ["bus.delivery"] — one message transiting {!Baton_sim.Bus.post}
+    (metrics, fault layers). *)
 
 val s_loop : string
 (** ["engine.loop"] — the wall time outside every span: event-queue

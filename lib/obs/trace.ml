@@ -2,14 +2,14 @@
 
    One *episode* is the whole causal tree of an operation: every
    message transmitted on its behalf — routing hops, retries, cache
-   probes, repair traffic triggered mid-walk — carries a
-   {!Baton_sim.Bus.trace_ctx} naming the episode (trace id), its own
-   span id and the span of the message that caused it. Reconstructing
-   the parent links afterwards yields the hop DAG, whose longest chain
-   is the operation's critical path — the quantity the concurrent
-   runtime charges as completion time — while the hop *count* is the
-   paper's metric. Both live in one artifact, so "why did this range
-   scan cost what it did" has an answer, not just a total.
+   probes, repair traffic triggered mid-walk — carries a {!ctx} naming
+   the episode (trace id), its own span id and the span of the message
+   that caused it. Reconstructing the parent links afterwards yields
+   the hop DAG, whose longest chain is the operation's critical path —
+   the quantity the concurrent runtime charges as completion time —
+   while the hop *count* is the paper's metric. Both live in one
+   artifact, so "why did this range scan cost what it did" has an
+   answer, not just a total.
 
    Purely an observer: the collector allocates ids and appends records;
    it never sends a message, never draws from a protocol PRNG, and
@@ -25,15 +25,12 @@
    synchronous execution there are no switches and the ambient state
    just threads through the call tree. *)
 
-module Bus = Baton_sim.Bus
 module Engine = Baton_sim.Engine
 
-type ctx = Bus.trace_ctx = {
-  trace : int;
-  span : int;
-  parent : int;
-  op : string;
-}
+(* Causal trace context of one message: which trace (operation
+   episode) it belongs to, its own span id, the span that caused it and
+   the kind of operation that originated the episode. *)
+type ctx = { trace : int; span : int; parent : int; op : string }
 
 (* What became of one transmitted message. *)
 type outcome = Delivered | Timed_out | Unreachable

@@ -21,12 +21,15 @@
     every fiber switch and reinstate it with {!restore}, giving forked
     children the fork point's mark. *)
 
-type ctx = Baton_sim.Bus.trace_ctx = {
-  trace : int;
-  span : int;
-  parent : int;
-  op : string;
+type ctx = {
+  trace : int;  (** trace (operation-episode) id *)
+  span : int;  (** this message's own span id *)
+  parent : int;  (** span id of the causing message, [-1] at the root *)
+  op : string;  (** kind of the operation that originated the episode *)
 }
+(** Causal context of one transmitted message. Carrying it is free — it
+    changes neither accounting nor the fault model, so traced and
+    untraced runs of the same seed count identical messages. *)
 
 type outcome = Delivered | Timed_out | Unreachable
 

@@ -19,6 +19,7 @@ module type S = sig
   val name : string
   val create : seed:int -> n:int -> t
   val size : t -> int
+  val bus : t -> Baton_sim.Bus.t
   val stats : t -> stats
   val supports_range : bool
   val insert : t -> int -> unit
@@ -37,6 +38,7 @@ module Baton_overlay : S = struct
   let name = "baton"
   let create ~seed ~n = Baton.Network.build ~seed n
   let size = Baton.Network.size
+  let bus = Baton.Net.bus
   let stats t = stats_of_metrics (Baton.Net.metrics t)
   let supports_range = true
   let insert = Baton.Network.insert
@@ -66,6 +68,7 @@ module Chord_overlay : S = struct
     t
 
   let size = Chord.size
+  let bus = Chord.bus
   let stats t = stats_of_metrics (Chord.metrics t)
   let supports_range = false
   let insert t k = ignore (Chord.insert t k)
@@ -107,6 +110,7 @@ module Multiway_overlay : S = struct
     t
 
   let size = Multiway.size
+  let bus = Multiway.bus
   let stats t = stats_of_metrics (Multiway.metrics t)
   let supports_range = true
   let insert t k = ignore (Multiway.insert t k)
@@ -140,6 +144,7 @@ module Skip_graph_overlay : S = struct
     t
 
   let size = Skip_graph.size
+  let bus = Skip_graph.bus
   let stats t = stats_of_metrics (Skip_graph.metrics t)
   let supports_range = true
   let insert t k = ignore (Skip_graph.insert t k)

@@ -34,6 +34,11 @@ module type S = sig
 
   val size : t -> int
 
+  val bus : t -> Baton_sim.Bus.t
+  (** The bus every message of this overlay travels, so a runtime
+      ([Baton_runtime.Runtime.of_bus]) can suspend its operations at
+      each hop. *)
+
   val stats : t -> stats
   (** Full message accounting, split by category; [(stats t).total] is
       the protocol-message count — the paper's metric. *)

@@ -63,7 +63,7 @@ let mix_named name =
   List.find_opt (fun m -> String.equal m.mix_name name) (mixes @ [ adversarial ])
 
 type config = {
-  overlay : string;  (* canonical Overlay.S name; "baton" = runtime path *)
+  overlay : string;  (* canonical Overlay.S name *)
   n : int;
   seed : int;
   keys_per_node : int;
@@ -99,6 +99,7 @@ let config ?(overlay = "baton") ?(seed = 2005) ?(keys_per_node = 5)
   if n < 2 then invalid_arg "Driver.config: n < 2";
   if clients < 1 then invalid_arg "Driver.config: clients < 1";
   if ops < 1 then invalid_arg "Driver.config: ops < 1";
+  if keys_per_node < 1 then invalid_arg "Driver.config: keys_per_node < 1";
   if monitor_every_ms < 0. then
     invalid_arg "Driver.config: negative monitor_every_ms";
   if series_every_ms < 0. then
@@ -109,18 +110,18 @@ let config ?(overlay = "baton") ?(seed = 2005) ?(keys_per_node = 5)
   | Open { rate_per_s } when rate_per_s <= 0. ->
     invalid_arg "Driver.config: rate_per_s <= 0"
   | Closed _ | Open _ -> ());
+  (* These read BATON's network, which the comparison overlays lack. *)
   if not (String.equal overlay "baton") then begin
     if fault_schedule <> [] then
-      invalid_arg "Driver.config: fault schedules require the baton runtime";
+      invalid_arg "Driver.config: fault schedules are baton-only";
     if route_cache then
       invalid_arg "Driver.config: the route cache is baton-only";
-    if monitor_every_ms > 0. || series_every_ms > 0. || profile then
-      invalid_arg
-        "Driver.config: monitor/series/profile require the baton runtime";
+    if monitor_every_ms > 0. then
+      invalid_arg "Driver.config: the health monitor is baton-only";
     if heat then
       invalid_arg "Driver.config: heat instrumentation is baton-only";
     if Option.is_some domain then
-      invalid_arg "Driver.config: custom domains require the baton runtime"
+      invalid_arg "Driver.config: custom domains are baton-only"
   end;
   {
     overlay;
@@ -223,38 +224,200 @@ type report = {
   oracle : Oracle.t option;  (** consistency verdicts, when enabled *)
 }
 
-let run_baton cfg =
+(* A completed operation's answer, in the shape the oracle judges. *)
+type answer =
+  | Lookup of { key : int; found : bool; complete : bool }
+  | Ranged of {
+      lo : int;
+      hi : int;
+      keys : int list;
+      complete : bool;
+      holes : (int * int) list;
+    }
+  | Inserted of int
+  | Membership
+
+(* Each overlay's setup returns the runtime over its bus and how a
+   planned op executes on it. BATON: queries and inserts race
+   membership changes freely — the staleness its routing tolerates —
+   while joins and leaves serialize on the membership lock. *)
+let baton_setup cfg net ~membership ~crng =
+  let par l r = Runtime.both l r in
+  let execute = function
+    | Exact key ->
+      let r = Baton.Search.lookup net ~from:(Net.random_peer net) key in
+      Lookup { key; found = r.found; complete = r.complete }
+    | Range (lo, hi) ->
+      let r = Baton.Search.range ~par net ~from:(Net.random_peer net) ~lo ~hi in
+      Ranged { lo; hi; keys = r.keys; complete = r.complete; holes = r.holes }
+    | Insert k ->
+      ignore (Baton.Update.insert net ~from:(Net.random_peer net) k);
+      Inserted k
+    | Join ->
+      Runtime.Lock.with_lock membership (fun () ->
+          ignore (Baton.Network.join net));
+      Membership
+    | Leave ->
+      Runtime.Lock.with_lock membership (fun () ->
+          if Net.size net > 2 then
+            Baton.Network.leave net (Rng.pick crng (Net.live_ids net)));
+      Membership
+  in
+  (Runtime.create ~timeout_ms:cfg.timeout_ms net, execute)
+
+(* A comparison overlay: its protocols assume a quiescent membership,
+   so exact, range and insert run on the lock's shared side and join
+   and leave on its exclusive side. Without the lock, chord lost
+   lookups and inserts to [Not_found] and a skip-graph range returned a
+   false-complete answer under churn. The lock admits in arrival order,
+   so the overlay's PRNG is drawn in plan order and a run counts the
+   same messages at any number of clients. *)
+let overlay_setup cfg (module O : Overlay.S) ~keys ~membership ~crng =
+  let t = O.create ~seed:cfg.seed ~n:cfg.n in
+  O.bulk_load t (Array.to_list keys);
+  let shared f = Runtime.Lock.with_shared membership f in
+  let exclusive f = Runtime.Lock.with_lock membership f in
+  let execute = function
+    | Exact key ->
+      let found = shared (fun () -> O.lookup t key) in
+      Lookup { key; found; complete = true }
+    | Range (lo, hi) ->
+      let keys = shared (fun () -> O.range_query t ~lo ~hi) in
+      Ranged { lo; hi; keys; complete = true; holes = [] }
+    | Insert k ->
+      shared (fun () -> O.insert t k);
+      Inserted k
+    | Join ->
+      exclusive (fun () -> O.join t);
+      Membership
+    | Leave ->
+      exclusive (fun () -> O.leave_random t crng);
+      Membership
+  in
+  (Runtime.of_bus ~timeout_ms:cfg.timeout_ms (O.bus t), execute)
+
+(* Adversarial scenario: translate the fault schedule into engine
+   events. Faults can only fire while the engine runs, i.e. during the
+   measured phase — never during setup. Suspicion-driven repair is
+   enabled (peers must recover on their own; no god view) and
+   serialized through the same membership lock as joins/leaves, so
+   structural mutations never interleave. *)
+let install_faults cfg net ~engine ~membership ~oracle ~note =
+  Net.set_suspicion_repair net true;
+  Net.set_repair_serializer net
+    (Some (fun f -> Runtime.Lock.with_lock membership f));
+  let live_peers () =
+    List.filter
+      (fun (p : Baton.Node.t) ->
+        not (Bus.is_failed (Net.bus net) p.Baton.Node.id))
+      (Net.peers net)
+  in
+  let peers_in_order () =
+    live_peers ()
+    |> List.sort (fun (a : Baton.Node.t) (b : Baton.Node.t) ->
+           compare a.Baton.Node.range.Baton.Range.lo
+             b.Baton.Node.range.Baton.Range.lo)
+    |> List.map (fun (p : Baton.Node.t) -> p.Baton.Node.id)
+    |> Array.of_list
+  in
+  let pick_subtree srng =
+    (* Sample a live internal node (level >= 2 keeps the blast radius
+       below "most of the network") and take its whole subtree — the
+       correlated victim group. Falls back to a single random live
+       peer in tiny or degenerate trees. *)
+    let live =
+      List.sort
+        (fun (a : Baton.Node.t) (b : Baton.Node.t) ->
+          compare a.Baton.Node.id b.Baton.Node.id)
+        (live_peers ())
+    in
+    let internal =
+      List.filter
+        (fun (p : Baton.Node.t) ->
+          Baton.Node.level p >= 2 && not (Baton.Node.is_leaf p))
+        live
+    in
+    match (internal, live) with
+    | [], [] -> [||]
+    | [], _ ->
+      [| (List.nth live (Rng.int srng (List.length live))).Baton.Node.id |]
+    | _, _ ->
+      let top = List.nth internal (Rng.int srng (List.length internal)) in
+      let rec collect pos acc =
+        match Baton.Wiring.occupant net pos with
+        | None -> acc
+        | Some (c : Baton.Node.t) ->
+          let acc = c.Baton.Node.id :: acc in
+          let acc = collect (Baton.Position.left_child pos) acc in
+          collect (Baton.Position.right_child pos) acc
+      in
+      collect top.Baton.Node.pos []
+      |> List.filter (fun id -> not (Bus.is_failed (Net.bus net) id))
+      |> List.sort_uniq compare |> Array.of_list
+  in
+  let crash id =
+    match Net.peer_opt net id with
+    | None -> ()
+    | Some (victim : Baton.Node.t) ->
+      (* The crash destroys the peer's data at this instant; tell the
+         model before the bus refuses messages to it. *)
+      (match oracle with
+      | Some o ->
+        Oracle.note_lost o ~time:(Engine.now engine)
+          (Sorted_store.to_list victim.Baton.Node.store)
+      | None -> ());
+      Baton.Failure.crash net victim
+  in
+  Partition.install ~bus:(Net.bus net) ~engine ~seed:((cfg.seed * 67) + 5)
+    ~hooks:{ Partition.peers_in_order; pick_subtree; crash; note }
+    cfg.fault_schedule
+
+let run cfg =
   (* Phase 1 — synchronous setup (excluded from all measurements):
-     build the tree, load the data. *)
-  let net = Baton.Network.build ~seed:cfg.seed ?domain:cfg.domain cfg.n in
+     build the overlay, load the data. *)
   let dlo, dhi = domain_bounds cfg in
   let gen = Datagen.uniform ~lo:dlo ~hi:dhi (Rng.create ((cfg.seed * 31) + 7)) in
   let keys = Datagen.take gen (cfg.keys_per_node * cfg.n) in
-  (* Batched placement: one locate plus an in-order distribution pass,
-     instead of a routed insert per key. *)
-  ignore
-    (Baton.Update.bulk_insert net ~from:(Net.random_peer net)
-       (Array.to_list keys));
-  if cfg.route_cache then Net.enable_route_cache net;
-  (* Phase 2 — concurrent measured run. *)
-  let rt = Runtime.create ~timeout_ms:cfg.timeout_ms net in
-  let engine = Runtime.engine rt in
-  let plan = plan_ops cfg ~keys in
   let membership = Runtime.Lock.create () in
   let crng = Rng.create ((cfg.seed * 17) + 23) in
+  (* [net] is BATON's network, read by the observers that only BATON
+     has (tracer, heat, faults, monitor). *)
+  let net, (rt, execute) =
+    if String.equal cfg.overlay "baton" then begin
+      let net = Baton.Network.build ~seed:cfg.seed ?domain:cfg.domain cfg.n in
+      (* Batched placement: one locate plus an in-order distribution
+         pass, instead of a routed insert per key. *)
+      ignore
+        (Baton.Update.bulk_insert net ~from:(Net.random_peer net)
+           (Array.to_list keys));
+      if cfg.route_cache then Net.enable_route_cache net;
+      (Some net, baton_setup cfg net ~membership ~crng)
+    end
+    else
+      ( None,
+        overlay_setup cfg (Overlay.of_name cfg.overlay) ~keys ~membership
+          ~crng )
+  in
+  (* Phase 2 — concurrent measured run. *)
+  let bus = Runtime.bus rt in
+  let engine = Runtime.engine rt in
+  let plan = plan_ops cfg ~keys in
   (* Consistency oracle: seeded with the bulk load (settled before the
      measured phase), fed every mutation and judging every completed
-     read. A tracer rides along so each verdict carries the op's causal
-     evidence. Both are pure observers — message counts are identical
-     with the oracle on or off. *)
+     read. On BATON a tracer rides along so each verdict carries the
+     op's causal evidence. Both are pure observers — message counts are
+     identical with the oracle on or off. *)
   let oracle =
     if not cfg.oracle then None
     else begin
       let o = Oracle.create () in
       Oracle.seed_keys o (Array.to_list keys);
-      let tr = Trace.create () in
-      Trace.use_engine tr engine;
-      Net.set_tracer net (Some tr);
+      Option.iter
+        (fun net ->
+          let tr = Trace.create () in
+          Trace.use_engine tr engine;
+          Net.set_tracer net (Some tr))
+        net;
       Some o
     end
   in
@@ -264,95 +427,21 @@ let run_baton cfg =
      counters run on the engine's virtual clock. A pure observer: heat
      on vs. off counts byte-identical metrics and latency digests. *)
   let heat =
-    if not cfg.heat then None
-    else begin
+    match net with
+    | Some net when cfg.heat ->
       let dom = Net.domain net in
-      let h =
-        Heat.create ~lo:dom.Baton.Range.lo ~hi:dom.Baton.Range.hi ()
-      in
+      let h = Heat.create ~lo:dom.Baton.Range.lo ~hi:dom.Baton.Range.hi () in
       Heat.set_clock h (Some (fun () -> Engine.now engine));
       Net.set_heat net (Some h);
       Some h
-    end
+    | Some _ | None -> None
   in
-  (* Adversarial scenario: translate the fault schedule into engine
-     events. Faults can only fire while the engine runs, i.e. during
-     the measured phase — never during setup. Suspicion-driven repair
-     is enabled (peers must recover on their own; no god view) and
-     serialized through the same membership lock as joins/leaves, so
-     structural mutations never interleave. *)
   let scenario_notes = ref [] in
-  if cfg.fault_schedule <> [] then begin
-    Net.set_suspicion_repair net true;
-    Net.set_repair_serializer net
-      (Some (fun f -> Runtime.Lock.with_lock membership f));
-    let live_peers () =
-      List.filter
-        (fun (p : Baton.Node.t) ->
-          not (Bus.is_failed (Net.bus net) p.Baton.Node.id))
-        (Net.peers net)
-    in
-    let peers_in_order () =
-      live_peers ()
-      |> List.sort (fun (a : Baton.Node.t) (b : Baton.Node.t) ->
-             compare a.Baton.Node.range.Baton.Range.lo
-               b.Baton.Node.range.Baton.Range.lo)
-      |> List.map (fun (p : Baton.Node.t) -> p.Baton.Node.id)
-      |> Array.of_list
-    in
-    let pick_subtree srng =
-      (* Sample a live internal node (level >= 2 keeps the blast radius
-         below "most of the network") and take its whole subtree — the
-         correlated victim group. Falls back to a single random live
-         peer in tiny or degenerate trees. *)
-      let live =
-        List.sort
-          (fun (a : Baton.Node.t) (b : Baton.Node.t) ->
-            compare a.Baton.Node.id b.Baton.Node.id)
-          (live_peers ())
-      in
-      let internal =
-        List.filter
-          (fun (p : Baton.Node.t) ->
-            Baton.Node.level p >= 2 && not (Baton.Node.is_leaf p))
-          live
-      in
-      match (internal, live) with
-      | [], [] -> [||]
-      | [], _ ->
-        [| (List.nth live (Rng.int srng (List.length live))).Baton.Node.id |]
-      | _, _ ->
-        let top = List.nth internal (Rng.int srng (List.length internal)) in
-        let rec collect pos acc =
-          match Baton.Wiring.occupant net pos with
-          | None -> acc
-          | Some (c : Baton.Node.t) ->
-            let acc = c.Baton.Node.id :: acc in
-            let acc = collect (Baton.Position.left_child pos) acc in
-            collect (Baton.Position.right_child pos) acc
-        in
-        collect top.Baton.Node.pos []
-        |> List.filter (fun id -> not (Bus.is_failed (Net.bus net) id))
-        |> List.sort_uniq compare |> Array.of_list
-    in
-    let crash id =
-      match Net.peer_opt net id with
-      | None -> ()
-      | Some (victim : Baton.Node.t) ->
-        (* The crash destroys the peer's data at this instant; tell the
-           model before the bus refuses messages to it. *)
-        (match oracle with
-        | Some o ->
-          Oracle.note_lost o ~time:(Engine.now engine)
-            (Sorted_store.to_list victim.Baton.Node.store)
-        | None -> ());
-        Baton.Failure.crash net victim
-    in
-    let note msg = scenario_notes := (Engine.now engine, msg) :: !scenario_notes in
-    Partition.install ~bus:(Net.bus net) ~engine ~seed:((cfg.seed * 67) + 5)
-      ~hooks:{ Partition.peers_in_order; pick_subtree; crash; note }
-      cfg.fault_schedule
-  end;
+  (match net with
+  | Some net when cfg.fault_schedule <> [] ->
+    install_faults cfg net ~engine ~membership ~oracle ~note:(fun msg ->
+        scenario_notes := (Engine.now engine, msg) :: !scenario_notes)
+  | Some _ | None -> ());
   (* Self-profiler, created just before the drain (below) so its clock
      and GC zero point cover the measured phase alone. The observer
      callbacks bill their own rows to it through [observe]. *)
@@ -367,32 +456,12 @@ let run_baton cfg =
      think-time sleep), which are not work. *)
   let last_done = ref 0. in
   let latencies = List.map (fun k -> (k, Timing.create ())) kind_order in
-  let par l r = Runtime.both l r in
-  let execute op =
-    match op with
-    | Exact k ->
-      `Lookup (k, Baton.Search.lookup net ~from:(Net.random_peer net) k)
-    | Range (lo, hi) ->
-      `Ranged (lo, hi, Baton.Search.range ~par net ~from:(Net.random_peer net) ~lo ~hi)
-    | Insert k ->
-      ignore (Baton.Update.insert net ~from:(Net.random_peer net) k);
-      `Inserted k
-    | Join ->
-      Runtime.Lock.with_lock membership (fun () ->
-          ignore (Baton.Network.join net));
-      `Membership
-    | Leave ->
-      Runtime.Lock.with_lock membership (fun () ->
-          if Net.size net > 2 then
-            Baton.Network.leave net (Rng.pick crng (Net.live_ids net)));
-      `Membership
-  in
   (* The trace of the operation that just completed. Safe to read after
      [execute] returns: closing the episode and this check run with no
      suspension point between them, so no interleaved fiber can have
      displaced it. *)
   let latest_trace () =
-    match Net.tracer net with
+    match Option.bind net Net.tracer with
     | None -> None
     | Some tr -> Option.map (Trace.analyze ?top:None) (Trace.latest tr)
   in
@@ -404,34 +473,36 @@ let run_baton cfg =
     | Some o, Insert k -> Oracle.begin_mutation o k
     | _ -> ());
     match execute op with
-    | outcome ->
+    | answer -> (
       incr completed;
       let finished = Runtime.now rt in
       last_done := finished;
       Timing.add digest (finished -. started);
-      (match oracle with
+      match oracle with
       | None -> ()
       | Some o -> (
-        match outcome with
-        | `Lookup (k, (r : Baton.Search.result)) ->
+        match answer with
+        | Lookup { key; found; complete } ->
           observe Profile.s_oracle @@ fun () ->
           ignore
-            (Oracle.check_exact o ?trace:(latest_trace ()) ~started ~finished
-               ~key:k ~found:r.found ~complete:r.complete ()
+            (Oracle.check_exact o ?trace:(latest_trace ()) ~started
+               ~finished ~key ~found ~complete ()
               : Oracle.verdict)
-        | `Ranged (lo, hi, (r : Baton.Search.result)) ->
+        | Ranged { lo; hi; keys; complete; holes } ->
           observe Profile.s_oracle @@ fun () ->
           ignore
-            (Oracle.check_range o ?trace:(latest_trace ()) ~started ~finished
-               ~lo ~hi ~keys:r.keys ~complete:r.complete ~holes:r.holes ()
+            (Oracle.check_range o ?trace:(latest_trace ()) ~started
+               ~finished ~lo ~hi ~keys ~complete ~holes ()
               : Oracle.verdict)
-        | `Inserted k -> Oracle.commit_insert o k ~started ~finished
-        | `Membership -> ()))
+        | Inserted k -> Oracle.commit_insert o k ~started ~finished
+        | Membership -> ()))
     | exception _ ->
       (* Operations racing churn can find their origin gone or their
-         walk stuck; on a real deployment the client would retry. The
-         driver counts the casualty and moves on — determinism is
-         unaffected, the failure is part of the seeded schedule. *)
+         walk stuck, and an overlay may not support an op at all (chord
+         has no range queries); on a real deployment the client would
+         retry. The driver counts the casualty and moves on —
+         determinism is unaffected, the failure is part of the seeded
+         schedule. *)
       (match (oracle, op) with
       | Some o, Insert k -> Oracle.abort_mutation o k
       | _ -> ());
@@ -475,8 +546,8 @@ let run_baton cfg =
      off count byte-identical metrics and finish at the same virtual
      instant. *)
   let monitor =
-    if cfg.monitor_every_ms <= 0. then None
-    else begin
+    match net with
+    | Some net when cfg.monitor_every_ms > 0. ->
       let mon = Baton.Monitor.create net in
       Engine.every engine ~period:cfg.monitor_every_ms (fun () ->
           observe Profile.s_monitor @@ fun () ->
@@ -485,13 +556,13 @@ let run_baton cfg =
               : Baton.Monitor.sample);
           Runtime.live_fibers rt > 0);
       Some mon
-    end
+    | Some _ | None -> None
   in
   (* The measurement checkpoint: everything below counts only the
      measured phase, not setup. Taken before the samplers are installed
      so the first time-series sample already reads measured-phase
      deltas; nothing between here and [Runtime.run] sends a message. *)
-  let metrics = Net.metrics net in
+  let metrics = Bus.metrics bus in
   let cp = Metrics.checkpoint metrics in
   (* Time-series sampler: like the monitor, a self-rescheduling pure
      observer on the virtual clock. Every sampled quantity is
@@ -554,7 +625,7 @@ let run_baton cfg =
      a closed interval. *)
   if cfg.profile then begin
     let p = Profile.create () in
-    Bus.set_probe (Net.bus net) (Some (Profile.bus_probe p));
+    Bus.set_probe bus (Some (Profile.bus_probe p));
     Engine.set_probe engine (Some (Profile.engine_probe p));
     profiler := Some p
   end;
@@ -565,7 +636,7 @@ let run_baton cfg =
   | Some p ->
     Profile.stop p;
     Engine.set_probe engine None;
-    Bus.set_probe (Net.bus net) None);
+    Bus.set_probe bus None);
   let duration_ms = !last_done in
   {
     cfg;
@@ -601,122 +672,6 @@ let run_baton cfg =
     scenario = List.rev !scenario_notes;
     oracle;
   }
-
-(* Comparison-overlay path: the same seeded plan, executed sequentially
-   against an [Overlay.S] implementation. These overlays are synchronous
-   (no fiber runtime), so the virtual clock is the paper's own metric —
-   one protocol message = one virtual millisecond. Per-op latency is the
-   op's message bill, [duration_ms] the measured phase's total, and the
-   oracle judges reads over the same message clock (ops never overlap,
-   so every window is definite). Equal accounting with the baton path:
-   identical op plan, identical key load, setup excluded. *)
-let run_overlay cfg (module O : Overlay.S) =
-  let t = O.create ~seed:cfg.seed ~n:cfg.n in
-  let gen = Datagen.uniform (Rng.create ((cfg.seed * 31) + 7)) in
-  let keys = Datagen.take gen (cfg.keys_per_node * cfg.n) in
-  O.bulk_load t (Array.to_list keys);
-  let plan = plan_ops cfg ~keys in
-  let crng = Rng.create ((cfg.seed * 17) + 23) in
-  let oracle =
-    if not cfg.oracle then None
-    else begin
-      let o = Oracle.create () in
-      Oracle.seed_keys o (Array.to_list keys);
-      Some o
-    end
-  in
-  let base = O.stats t in
-  let clock () = float_of_int ((O.stats t).Overlay.total - base.Overlay.total) in
-  let completed = ref 0 and failed = ref 0 in
-  let last_done = ref 0. in
-  let latencies = List.map (fun k -> (k, Timing.create ())) kind_order in
-  Array.iter
-    (fun op ->
-      let digest = List.assoc (op_kind op) latencies in
-      let started = clock () in
-      (match (oracle, op) with
-      | Some o, Insert k -> Oracle.begin_mutation o k
-      | _ -> ());
-      match
-        match op with
-        | Exact k -> `Lookup (k, O.lookup t k)
-        | Range (lo, hi) -> `Ranged (lo, hi, O.range_query t ~lo ~hi)
-        | Insert k ->
-          O.insert t k;
-          `Inserted k
-        | Join ->
-          O.join t;
-          `Membership
-        | Leave ->
-          O.leave_random t crng;
-          `Membership
-      with
-      | outcome ->
-        incr completed;
-        let finished = clock () in
-        last_done := finished;
-        Timing.add digest (finished -. started);
-        (match oracle with
-        | None -> ()
-        | Some o -> (
-          match outcome with
-          | `Lookup (k, found) ->
-            ignore
-              (Oracle.check_exact o ~started ~finished ~key:k ~found
-                 ~complete:true ()
-                : Oracle.verdict)
-          | `Ranged (lo, hi, ks) ->
-            ignore
-              (Oracle.check_range o ~started ~finished ~lo ~hi ~keys:ks
-                 ~complete:true ~holes:[] ()
-                : Oracle.verdict)
-          | `Inserted k -> Oracle.commit_insert o k ~started ~finished
-          | `Membership -> ()))
-      | exception _ ->
-        (* E.g. [Overlay.Unsupported] for a range query on chord: the
-           op was issued, the overlay cannot serve it — a counted
-           failure, exactly like a casualty on the runtime path. *)
-        (match (oracle, op) with
-        | Some o, Insert k -> Oracle.abort_mutation o k
-        | _ -> ());
-        incr failed;
-        last_done := clock ())
-    plan;
-  let duration_ms = !last_done in
-  let stats = O.stats t in
-  {
-    cfg;
-    ops_issued = Array.length plan;
-    completed = !completed;
-    failed = !failed;
-    retries = 0;
-    messages = stats.Overlay.total - base.Overlay.total;
-    cache_messages = stats.Overlay.cache - base.Overlay.cache;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_stale = 0;
-    duration_ms;
-    wall_ms = 0.;
-    events_per_s = 0.;
-    throughput_ops_s =
-      (if duration_ms > 0. then float_of_int !completed /. duration_ms *. 1000.
-       else 0.);
-    latencies;
-    depth_max = 0;
-    depth_mean = 0.;
-    health = Json.Null;
-    load_json = Json.Null;
-    profile_json = Json.Null;
-    series = None;
-    partition_timeouts = 0;
-    gray_drops = 0;
-    scenario = [];
-    oracle;
-  }
-
-let run cfg =
-  if String.equal cfg.overlay "baton" then run_baton cfg
-  else run_overlay cfg (Overlay.of_name cfg.overlay)
 
 (* --- Scale sweep ----------------------------------------------------
 
@@ -760,7 +715,7 @@ let run_scale ?seed ?keys_per_node ?ops ?clients ?(progress = fun _ -> ()) ns =
   if ns = [] then invalid_arg "Driver.run_scale: empty n list";
   List.map
     (fun n ->
-      let r = run_baton (scale_config ?seed ?keys_per_node ?ops ?clients n) in
+      let r = run (scale_config ?seed ?keys_per_node ?ops ?clients n) in
       progress r;
       r)
     ns
@@ -917,8 +872,7 @@ let summary r =
 (* One JSON object per line per retained sample, tagged with the
    overlay and mix it came from — the artifact format CI uploads.
    Deterministic: only virtual-clock timestamps and counter values
-   appear. (Only the baton runtime samples series, but the tag keeps
-   lines self-describing in a mixed artifact.) *)
+   appear. *)
 let timeseries_jsonl sections =
   let buf = Buffer.create 1024 in
   List.iter

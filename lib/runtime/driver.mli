@@ -9,11 +9,13 @@
 
     The same plan can instead be executed against any registered
     comparison overlay ({!P2p_overlay.Overlay.S}) by naming it in
-    [config ~overlay]. Those overlays are synchronous, so the driver
-    runs their plan sequentially and the virtual clock becomes the
-    paper's own cost metric: one protocol message = one virtual
-    millisecond (latencies are per-op message bills, [duration_ms] the
-    measured phase's message total). Key load, op plan and message
+    [config ~overlay]. Every overlay runs through the same fiber loop,
+    oracle checks, time-series sampler, profiler and report; the
+    runtime suspends at the overlay's bus. The comparison overlays run
+    exact, range and insert on the shared side of a
+    {!Runtime.Lock} and join and leave on its exclusive side, so their
+    message counts are the same at any number of clients while their
+    latencies are real critical paths. Key load, op plan and message
     accounting are identical across overlays — the basis of the
     per-overlay bench matrix. *)
 
@@ -49,11 +51,10 @@ val mix_named : string -> mix option
 
 type config = {
   overlay : string;
-      (** canonical {!P2p_overlay.Overlay.S} name. ["baton"] (the
-          default) runs on the concurrent fiber runtime with every
-          feature available; any other registered overlay runs the same
-          plan sequentially, and requires [route_cache], [monitor],
-          [series], [profile] off and an empty [fault_schedule]. *)
+      (** canonical {!P2p_overlay.Overlay.S} name, ["baton"] by
+          default. The features that read BATON's network — [domain],
+          [route_cache], [monitor_every_ms], [heat] and
+          [fault_schedule] — require ["baton"]. *)
   n : int;
   seed : int;
   keys_per_node : int;
@@ -135,9 +136,10 @@ val config :
     (the paper's Zipf parameter), timeout {!Runtime.default_timeout_ms},
     monitoring off, time series off, profiling off, heat off, no fault
     schedule, oracle off. The overlay name is canonicalized (aliases resolve).
-    @raise Invalid_argument on non-positive sizes, a negative sampling
-    period, a negative think time, a non-positive open-loop rate, or a
-    baton-only feature requested for another overlay.
+    @raise Invalid_argument on non-positive sizes (an empty key set
+    included), a negative sampling period, a negative think time, a
+    non-positive open-loop rate, or a baton-only feature requested for
+    another overlay.
     @raise P2p_overlay.Overlay.Unknown_overlay for an unregistered
     overlay name. *)
 
@@ -213,13 +215,11 @@ type report = {
 }
 
 val run : config -> report
-(** Build the network and bulk-load data synchronously (unmeasured),
-    enable the route cache when configured, then execute the plan and
-    report. [overlay = "baton"] interleaves the plan concurrently on
-    the fiber runtime; any other overlay executes it sequentially with
-    the message clock as virtual time (runtime-only fields — retries,
-    cache event counts, queue depths, health, profile, series — are
-    zero/[Null]/[None] there). *)
+(** Build the overlay and bulk-load data synchronously (unmeasured),
+    enable the route cache when configured, then execute the plan
+    concurrently on the fiber runtime and report. On the comparison
+    overlays the fields only BATON produces — retries, cache counts,
+    health, load — are zero/[Null]. *)
 
 val scale_config :
   ?seed:int -> ?keys_per_node:int -> ?ops:int -> ?clients:int -> int -> config

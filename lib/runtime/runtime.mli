@@ -1,12 +1,14 @@
-(** Concurrent discrete-event runtime for BATON operations.
+(** Concurrent discrete-event runtime for overlay operations.
 
-    Runs protocol operations from [lib/core] as interleaved {e fibers}
+    Runs protocol operations — BATON's from [lib/core], or any overlay
+    that sends through a {!Baton_sim.Bus} — as interleaved {e fibers}
     on the simulation {!Baton_sim.Engine}, without rewriting them into
     explicit state machines: OCaml effect handlers suspend an operation
-    at every transmitted message (via {!Baton.Net.set_hop_wait}) and
-    resume it when the virtual clock reaches the delivery instant drawn
-    from the {!Baton_sim.Latency} model — or after {!timeout_ms} for
-    messages that will never be answered. Consequences:
+    at every transmitted message (via the bus's wait hook,
+    {!Baton_sim.Bus.set_wait}) and resume it when the virtual clock
+    reaches the delivery instant drawn from the {!Baton_sim.Latency}
+    model — or after {!timeout_ms} for messages that will never be
+    answered. Consequences:
 
     - an operation's completion time is its {e critical path} through
       the network, so independent work (the two directional sweeps of a
@@ -24,16 +26,26 @@
 type t
 
 val create : ?timeout_ms:float -> ?latency:Baton_sim.Latency.t -> Baton.Net.t -> t
-(** A runtime driving the given network. [timeout_ms] (default 300.)
-    is the retransmission-timer interval a sender waits before
-    declaring a message unanswered; [latency] defaults to
-    [Latency.create ()] (20 ms base + Exp(60 ms) per directed pair).
+(** A runtime driving the given BATON network through its bus. Fibers
+    also carry the network tracer's causal state across suspensions.
+    [timeout_ms] (default 300.) is the retransmission-timer interval a
+    sender waits before declaring a message unanswered; [latency]
+    defaults to [Latency.create ()] (20 ms base + Exp(60 ms) per
+    directed pair).
     @raise Invalid_argument if [timeout_ms <= 0]. *)
+
+val of_bus :
+  ?timeout_ms:float -> ?latency:Baton_sim.Latency.t -> Baton_sim.Bus.t -> t
+(** A runtime over a bare bus — the comparison overlays' path. Same
+    clock and defaults as {!create}; there is no tracer to carry. *)
 
 val default_timeout_ms : float
 
 val engine : t -> Baton_sim.Engine.t
-val net : t -> Baton.Net.t
+
+val bus : t -> Baton_sim.Bus.t
+(** The bus whose sends the runtime suspends. *)
+
 val latency : t -> Baton_sim.Latency.t
 val timeout_ms : t -> float
 
@@ -50,10 +62,10 @@ val spawn :
     exception that escaped [f]. Fibers must be driven by {!run}. *)
 
 val run : t -> unit
-(** Install the hop-suspension hook on the network, execute events
-    until every fiber has completed, then restore the network to
-    synchronous operation. Operations invoked outside [run] (setup,
-    verification) behave exactly as without a runtime. *)
+(** Install the wait hook on the bus, execute events until every fiber
+    has completed, then restore the bus to synchronous operation.
+    Operations invoked outside [run] (setup, verification) behave
+    exactly as without a runtime. *)
 
 (** {1 Inside a fiber}
 
@@ -92,24 +104,40 @@ val queue_depth_max : t -> int
 val queue_depth_mean : t -> float
 (** Maximum/mean of the per-peer maxima (0 before any traffic). *)
 
-(** Cooperative mutex for fibers. The workload driver wraps membership
-    changes (join/leave) in one so structural mutations serialize,
-    while queries race them freely — mirroring the paper's assumption
-    that concurrent joins are serialized by the protocol, not the
-    simulator. FIFO hand-off: waiters resume in arrival order. *)
+(** Cooperative readers-writer lock for fibers. The workload driver
+    runs membership changes (join/leave) on the exclusive side so
+    structural mutations serialize. BATON's queries race them freely —
+    mirroring the paper's assumption that concurrent joins are
+    serialized by the protocol, not the simulator — while the
+    comparison overlays run exact, range and insert on the shared side.
+
+    Admission follows arrival order exactly: no arrival overtakes a
+    queued waiter, or a handed-off grant that has not resumed yet. A
+    release hands the lock to the compatible waiters at the head of the
+    queue; a grant, when it resumes, admits the compatible waiters
+    queued behind it meanwhile. Exclusive-only use is a FIFO mutex with
+    hand-off. *)
 module Lock : sig
   type t
 
   val create : unit -> t
+
   val held : t -> bool
+  (** Held on either side (granted waiters that have not resumed yet
+      included). *)
 
   val acquire : t -> unit
-  (** Take the lock, suspending the fiber until available. *)
+  (** Take the exclusive side, suspending the fiber until available. *)
 
   val release : t -> unit
-  (** Release, handing off to the earliest waiter if any.
+  (** Release whichever side the caller holds, handing off to the
+      earliest compatible waiters if any.
       @raise Invalid_argument if the lock is not held. *)
 
   val with_lock : t -> (unit -> 'a) -> 'a
   (** [acquire]; run; [release] (also on exception). *)
+
+  val with_shared : t -> (unit -> 'a) -> 'a
+  (** Take the shared side (suspending the fiber until available); run;
+      [release] (also on exception). *)
 end

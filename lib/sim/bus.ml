@@ -35,19 +35,11 @@ type gray_state = {
   gray_peers : (int, float * float) Hashtbl.t;
 }
 
-type hop_hook = src:int -> dst:int -> kind:string -> unit
-
 (* Delivery probe: a pure wall-clock observer bracketing every message
-   transit. Holds closures, so {!unhooked} leaves it out (like
-   subscribers). *)
+   transit. Holds a closure, so {!unhooked} leaves it out. *)
 type probe = { before : unit -> unit; after : unit -> unit }
 
-(* Causal trace context carried by a message: which trace (operation
-   episode) it belongs to, its own span id, the span that caused it and
-   the kind of operation that originated the episode. The bus only
-   transports the context — allocation and analysis live in the
-   observability layer. *)
-type trace_ctx = { trace : int; span : int; parent : int; op : string }
+type outcome = Delivered | Timed_out
 
 type t = {
   metrics : Metrics.t;
@@ -55,19 +47,12 @@ type t = {
   mutable faults : fault_state option;
   mutable partition : partition_state option;
   mutable gray : gray_state option;
-  (* Context of the message currently passing through [send], readable
-     by hop subscribers via [sending_ctx]. *)
-  mutable in_flight : trace_ctx option;
-  (* Hop subscribers. [subs_rev] holds them newest-first so subscribing
-     is O(1); [subs_fwd] caches the subscription-order view that [send]
-     iterates, rebuilt lazily after a (un)subscription. Both are
-     immutable lists, so a hook that (un)subscribes mid-[send] cannot
-     disturb the iteration in flight. *)
-  mutable subs_rev : (int * hop_hook) list;
-  mutable subs_fwd : (int * hop_hook) list;
-  mutable subs_dirty : bool;
-  mutable next_subscriber : int;
   mutable probe : probe option;
+  (* Hop suspension: installed by a concurrent runtime so {!send} (and
+     callers of {!wait}) park the sending fiber until the virtual clock
+     reaches the delivery or timeout instant. [None] keeps every send
+     synchronous. *)
+  mutable wait : (src:int -> dst:int -> outcome -> unit) option;
 }
 
 exception Unreachable of int
@@ -85,55 +70,19 @@ let create () =
     faults = None;
     partition = None;
     gray = None;
-    in_flight = None;
-    subs_rev = [];
-    subs_fwd = [];
-    subs_dirty = false;
-    next_subscriber = 0;
     probe = None;
+    wait = None;
   }
 
 let set_probe t p = t.probe <- p
 let probe t = t.probe
-
-(* --- Hop-trace subscriptions --------------------------------------
-
-   Multiple observers (latency measurement, CLI tracing, tests) can
-   watch the bus at once; each holds a token and removes
-   only its own hook, so they compose instead of clobbering each
-   other. *)
-
-type subscription = int
-
-let subscribe t hook =
-  let id = t.next_subscriber in
-  t.next_subscriber <- id + 1;
-  (* O(1): prepend to the reversed list and invalidate the forward
-     cache. The old [subscribers @ [x]] made n subscriptions O(n²). *)
-  t.subs_rev <- (id, hook) :: t.subs_rev;
-  t.subs_dirty <- true;
-  id
-
-let unsubscribe t id =
-  t.subs_rev <- List.filter (fun (i, _) -> i <> id) t.subs_rev;
-  t.subs_dirty <- true
-
-let subscriber_count t = List.length t.subs_rev
+let set_wait t w = t.wait <- w
+let wait_installed t = Option.is_some t.wait
 
 (* The bus as [Marshal] may see it: a shallow copy sharing every piece
-   of state, minus the subscribers and the probe (closures cannot be
+   of state, minus the probe and the wait hook (closures cannot be
    serialized). [t] itself keeps its hooks. *)
-let unhooked t =
-  { t with subs_rev = []; subs_fwd = []; subs_dirty = false; probe = None }
-
-(* Subscription-order view, rebuilt at most once per burst of
-   (un)subscriptions. *)
-let subscribers t =
-  if t.subs_dirty then begin
-    t.subs_fwd <- List.rev t.subs_rev;
-    t.subs_dirty <- false
-  end;
-  t.subs_fwd
+let unhooked t = { t with probe = None; wait = None }
 
 let metrics t = t.metrics
 
@@ -257,26 +206,12 @@ let gray_dropped t ~src ~dst =
     let p = Float.max (drop src) (drop dst) in
     p > 0. && Rng.float g.grng 1.0 < p
 
-let sending_ctx t = t.in_flight
-
-(* Explicit recursion instead of [List.iter (fun ...)] so the hot
-   delivery path allocates no iteration closure. *)
-let rec run_hooks subs ~src ~dst ~kind =
-  match subs with
-  | [] -> ()
-  | (_, hook) :: rest ->
-    hook ~src ~dst ~kind;
-    run_hooks rest ~src ~dst ~kind
-
-let deliver ?ctx t ~src ~dst ~kind =
+let deliver t ~src ~dst ~kind =
   begin
     (* The message is transmitted — and therefore counted — whether or
        not the destination is alive or the network loses it; a missing
        answer is how the sender discovers the problem (Section III-C). *)
     Metrics.record t.metrics ~dst ~kind;
-    t.in_flight <- ctx;
-    run_hooks (subscribers t) ~src ~dst ~kind;
-    t.in_flight <- None;
     if is_failed t dst then raise (Unreachable dst);
     (* Fault layers, outermost first: a partition blocks the message
        before it reaches the destination's island, so it consumes
@@ -300,22 +235,39 @@ let deliver ?ctx t ~src ~dst ~kind =
       raise (Timeout dst)
   end
 
-let send ?ctx t ~src ~dst ~kind =
+let post t ~src ~dst ~kind =
   if src <> dst then
     match t.probe with
-    | None -> deliver ?ctx t ~src ~dst ~kind
+    | None -> deliver t ~src ~dst ~kind
     | Some p -> (
       (* Timeouts and unreachables are ordinary outcomes here, so the
          probe's closing half must survive them. Bracketed by hand
          (rather than [Fun.protect]) so a probed send allocates no
          thunk. *)
       p.before ();
-      match deliver ?ctx t ~src ~dst ~kind with
+      match deliver t ~src ~dst ~kind with
       | () -> p.after ()
       | exception e ->
         let bt = Printexc.get_raw_backtrace () in
         p.after ();
         Printexc.raise_with_backtrace e bt)
+
+let wait t ~src ~dst outcome =
+  match t.wait with None -> () | Some w -> w ~src ~dst outcome
+
+(* [post], then wait out the hop outside the probe bracket: a probe span
+   must not straddle a suspension. A lost or refused message still
+   costs the sender its timeout before the exception reaches it. *)
+let send t ~src ~dst ~kind =
+  match t.wait with
+  | Some w when src <> dst -> (
+    match post t ~src ~dst ~kind with
+    | () -> w ~src ~dst Delivered
+    | exception ((Timeout _ | Unreachable _) as e) ->
+      let bt = Printexc.get_raw_backtrace () in
+      w ~src ~dst Timed_out;
+      Printexc.raise_with_backtrace e bt)
+  | Some _ | None -> post t ~src ~dst ~kind
 
 let clear_stun t id =
   match t.faults with None -> () | Some f -> Hashtbl.remove f.stunned id

@@ -18,13 +18,13 @@
 type t
 
 exception Unreachable of int
-(** Raised by {!send} when the destination peer is permanently failed.
-    Carries the failed peer id. *)
+(** Raised by {!post} (and so {!send}) when the destination peer is
+    permanently failed. Carries the failed peer id. *)
 
 exception Timeout of int
-(** Raised by {!send} when the fault model loses the message or the
-    destination is transiently unresponsive. The message was
-    transmitted (and counted); no answer will come. Carries the
+(** Raised by {!post} (and so {!send}) when the fault model loses the
+    message or the destination is transiently unresponsive. The message
+    was transmitted (and counted); no answer will come. Carries the
     destination peer id. *)
 
 type fault_config = {
@@ -55,32 +55,23 @@ val create : unit -> t
 val metrics : t -> Metrics.t
 (** The accounting sink for this bus. *)
 
-type trace_ctx = {
-  trace : int;  (** trace (operation-episode) id *)
-  span : int;  (** this message's own span id *)
-  parent : int;  (** span id of the causing message, [-1] at the root *)
-  op : string;  (** kind of the operation that originated the episode *)
-}
-(** Causal trace context carried by a message (Dapper-style). The bus
-    only transports it: allocation, causality bookkeeping and analysis
-    live in [Baton_obs.Trace]. Carrying a context is free — it changes
-    neither accounting nor the fault model, so traced and untraced runs
-    of the same seed count identical messages. *)
-
-val send : ?ctx:trace_ctx -> t -> src:int -> dst:int -> kind:string -> unit
-(** Account one message. Self-sends ([src = dst]) are free: a node
-    consulting its own state passes no network message. Messages to
-    failed peers are still counted — they are transmitted, and the
-    missing answer is how the sender discovers the failure. When [ctx]
-    is given, the message carries that causal trace context; hop
-    subscribers can read it via {!sending_ctx} while their hook runs.
+val post : t -> src:int -> dst:int -> kind:string -> unit
+(** Account one message and decide its fate; never suspends. Self-sends
+    ([src = dst]) are free: a node consulting its own state passes no
+    network message. Messages to failed peers are still counted — they
+    are transmitted, and the missing answer is how the sender discovers
+    the failure. The fault layers and the delivery probe run here.
     @raise Unreachable if [dst] is permanently failed.
     @raise Timeout if the fault model drops the message or [dst] is
     transiently unresponsive. *)
 
-val sending_ctx : t -> trace_ctx option
-(** The trace context of the message currently passing through {!send}
-    — [Some] only while hop hooks run for a message that carries one. *)
+val send : t -> src:int -> dst:int -> kind:string -> unit
+(** {!post}, then — when a runtime has installed a hook with
+    {!set_wait} — wait for the hop: the delivery latency, or the
+    timeout on [Timeout]/[Unreachable], re-raising the exception after
+    the wait. A self-send never waits. The wait runs outside the probe
+    bracket. Without a hook, [send] is exactly {!post}.
+    @raise Unreachable / [Timeout] as {!post}. *)
 
 val set_faults :
   t ->
@@ -180,44 +171,46 @@ val is_failed : t -> int -> bool
 
 val failed_count : t -> int
 
-(** {1 Hop-trace subscriptions}
-
-    Any number of observers (latency measurement, CLI tracing, tests)
-    can watch the bus at once. Each
-    {!subscribe} returns a token; {!unsubscribe} removes only that
-    hook, so independent observers compose instead of clobbering each
-    other. Hooks run in subscription order, after the message is
-    counted and before any failure outcome is decided, so every
-    observer sees every transmitted message. *)
-
-type hop_hook = src:int -> dst:int -> kind:string -> unit
-
-type subscription
-
-val subscribe : t -> hop_hook -> subscription
-(** Install a hook observing every accounted message. *)
-
-val unsubscribe : t -> subscription -> unit
-(** Remove one previously installed hook; unknown tokens are ignored. *)
-
-val subscriber_count : t -> int
-
 val unhooked : t -> t
 (** A shallow copy of the bus sharing all its state (metrics, failures,
-    fault models) but carrying no subscribers and no probe — the value
-    to marshal, since closures cannot be serialized. The original keeps
-    its hooks. *)
+    fault models) but carrying no probe and no wait hook — the value to
+    marshal, since closures cannot be serialized. The original keeps its
+    hooks. *)
 
 (** {1 Delivery probe}
 
-    One wall-clock probe bracketing every transit of {!send} (metrics
-    accounting, subscriber hooks, fault layers) — the self-profiler's
-    ["bus.delivery"] meter. Unlike subscribers it also wraps the
-    failure outcomes: [after] runs whether the send delivers, times
-    out, or finds the peer dead. Must be a pure observer; like
-    subscribers, {!unhooked} leaves it out. *)
+    One wall-clock probe bracketing every transit of {!post} (metrics
+    accounting, fault layers) — the self-profiler's ["bus.delivery"]
+    meter. It also wraps the failure outcomes: [after] runs whether the
+    message is delivered, times out, or finds the peer dead. Must be a
+    pure observer; {!unhooked} leaves it out. *)
 
 type probe = { before : unit -> unit; after : unit -> unit }
 
 val set_probe : t -> probe option -> unit
 val probe : t -> probe option
+
+(** {1 Hop suspension}
+
+    The seam a concurrent runtime drives every overlay through. With a
+    hook installed, {!send} calls it after every transmitted message so
+    the runtime can park the sending fiber until the virtual clock
+    reaches the delivery (or timeout-detection) instant. Protocols that
+    need to act between transmission and the wait (count a retry, say)
+    call {!post} and {!wait} themselves. The hook observes and delays;
+    it never sends, so installing it cannot change [Metrics.total]. *)
+
+type outcome =
+  | Delivered  (** the destination received the message *)
+  | Timed_out
+      (** no answer will come — the message was lost, the destination
+          is transiently silent, or it is permanently unreachable; the
+          sender only learns this by waiting out its timeout *)
+
+val set_wait : t -> (src:int -> dst:int -> outcome -> unit) option -> unit
+
+val wait_installed : t -> bool
+
+val wait : t -> src:int -> dst:int -> outcome -> unit
+(** Run the installed hook for one hop already {!post}ed; a no-op
+    without one. *)

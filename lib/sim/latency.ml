@@ -14,24 +14,3 @@ let of_pair t ~src ~dst =
   let u = Rng.float rng 1.0 in
   let jitter = -.t.jitter_ms *. log (1. -. (u *. 0.999)) in
   t.base_ms +. jitter
-
-let measure t bus f =
-  let total = ref 0. in
-  let unsubscribed = ref false in
-  let sub =
-    Bus.subscribe bus (fun ~src ~dst ~kind:_ ->
-        total := !total +. of_pair t ~src ~dst)
-  in
-  let finish () =
-    if not !unsubscribed then begin
-      Bus.unsubscribe bus sub;
-      unsubscribed := true
-    end
-  in
-  match f () with
-  | result ->
-    finish ();
-    (result, !total)
-  | exception e ->
-    finish ();
-    raise e

@@ -1,12 +1,15 @@
 (** Per-link latency model.
 
-    The paper measures message counts only; this model converts hop
-    traces into wall-clock-style operation latencies so experiments can
-    also report latency distributions. Each ordered peer pair gets a
-    deterministic latency drawn once from a heavy-tailed distribution
-    (a base RTT plus exponential jitter) — the same pair always costs
-    the same, as on a real topology where peers have fixed network
-    distance. *)
+    The paper measures message counts only; this model gives every hop
+    a delivery delay so operations also have latencies. Each ordered
+    peer pair gets a deterministic latency drawn once from a
+    heavy-tailed distribution (a base RTT plus exponential jitter) —
+    the same pair always costs the same, as on a real topology where
+    peers have fixed network distance. The one clock that charges these
+    delays is the concurrent runtime ([Baton_runtime.Runtime]): it
+    suspends an operation at each hop, so its completion time is its
+    critical path. Timed alone without fan-out, an operation's latency
+    is the sum of {!of_pair} over its hops — see DESIGN.md §3.7. *)
 
 type t
 
@@ -17,22 +20,3 @@ val create : ?seed:int -> ?base_ms:float -> ?jitter_ms:float -> unit -> t
 val of_pair : t -> src:int -> dst:int -> float
 (** One-way latency in milliseconds for this ordered pair.
     Deterministic: repeated calls return the same value. *)
-
-val measure : t -> Bus.t -> (unit -> 'a) -> 'a * float
-(** [measure t bus f] runs [f], capturing every message it sends on
-    [bus] via the trace hook, and returns its result with the summed
-    latency of the hop chain. Restores any previous trace hook
-    afterwards.
-
-    This is the {e serial hop sum}: it charges every transmitted
-    message as if the operation were one sequential RPC chain. That is
-    exact for exact-match search, insert, delete, join and leave,
-    which really are sequential chains — but an upper bound for
-    operations with independent branches, such as a range query's two
-    directional sweeps, whose true end-to-end latency is the {e
-    critical path} (longest dependency chain), not the sum. To measure
-    critical paths, run the operation on the concurrent runtime
-    ([Baton_runtime.Runtime], which suspends at each hop and overlaps
-    independent work on the virtual clock, using this same model for
-    per-hop delays); the message counts are identical either way —
-    see DESIGN.md §3.7. *)

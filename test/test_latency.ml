@@ -2,6 +2,7 @@
 
 module Latency = Baton_sim.Latency
 module Bus = Baton_sim.Bus
+module Runtime = Baton_runtime.Runtime
 
 let test_deterministic_per_pair () =
   let l = Latency.create ~seed:3 () in
@@ -31,72 +32,30 @@ let test_bounds () =
   Alcotest.check_raises "negative" (Invalid_argument "Latency.create: negative latency")
     (fun () -> ignore (Latency.create ~base_ms:(-1.) ()))
 
-let test_measure_sums_hops () =
+(* The runtime is the one hop clock: a fiber's chain of sends over a
+   bare bus finishes at the sum of the per-pair latencies of its
+   hops. *)
+let test_runtime_sums_hops () =
   let l = Latency.create ~seed:6 () in
   let bus = Bus.create () in
-  let result, ms =
-    Latency.measure l bus (fun () ->
-        Bus.send bus ~src:1 ~dst:2 ~kind:"x";
-        Bus.send bus ~src:2 ~dst:3 ~kind:"x";
-        "done")
-  in
-  Alcotest.(check string) "result passed through" "done" result;
+  let rt = Runtime.of_bus ~latency:l bus in
+  let result = ref None in
+  Runtime.spawn rt
+    (fun () ->
+      Bus.send bus ~src:1 ~dst:2 ~kind:"x";
+      Bus.send bus ~src:2 ~dst:3 ~kind:"x";
+      "done")
+    ~on_done:(fun r -> result := Some r);
+  Runtime.run rt;
+  Alcotest.(check bool) "result passed through" true
+    (!result = Some (Ok "done"));
   let expect = Latency.of_pair l ~src:1 ~dst:2 +. Latency.of_pair l ~src:2 ~dst:3 in
-  Alcotest.(check bool) "sum of hops" true (Float.abs (ms -. expect) < 1e-9)
-
-let test_measure_restores_trace_and_raises () =
-  let l = Latency.create ~seed:7 () in
-  let bus = Bus.create () in
-  (match Latency.measure l bus (fun () -> failwith "boom") with
-  | exception Failure m -> Alcotest.(check string) "exception propagates" "boom" m
-  | _ -> Alcotest.fail "expected exception");
-  (* The measurement subscription must have been removed. *)
-  Alcotest.(check int) "no leftover subscriber" 0 (Bus.subscriber_count bus);
-  let hits = ref 0 in
-  let sub = Bus.subscribe bus (fun ~src:_ ~dst:_ ~kind:_ -> incr hits) in
-  Bus.send bus ~src:1 ~dst:2 ~kind:"x";
-  Bus.unsubscribe bus sub;
-  Alcotest.(check int) "fresh hook in place" 1 !hits
-
-let test_measure_zero_messages () =
-  let l = Latency.create ~seed:8 () in
-  let bus = Bus.create () in
-  let (), ms = Latency.measure l bus (fun () -> ()) in
-  Alcotest.(check bool) "zero" true (ms = 0.)
-
-(* Regression: installing another observer (as `baton_cli trace` does)
-   while a measurement is running must not drop either subscriber —
-   the single-slot hook this replaces silently evicted one of them. *)
-let test_measure_composes_with_other_subscribers () =
-  let l = Latency.create ~seed:9 () in
-  let bus = Bus.create () in
-  let cli_hops = ref 0 in
-  let cli = Bus.subscribe bus (fun ~src:_ ~dst:_ ~kind:_ -> incr cli_hops) in
-  let (), ms =
-    Latency.measure l bus (fun () ->
-        Bus.send bus ~src:1 ~dst:2 ~kind:"x";
-        (* A second observer installed mid-measurement also sticks. *)
-        let mid_hops = ref 0 in
-        let mid = Bus.subscribe bus (fun ~src:_ ~dst:_ ~kind:_ -> incr mid_hops) in
-        Bus.send bus ~src:2 ~dst:3 ~kind:"x";
-        Bus.unsubscribe bus mid;
-        Alcotest.(check int) "mid-flight subscriber saw the hop" 1 !mid_hops)
-  in
-  let expect = Latency.of_pair l ~src:1 ~dst:2 +. Latency.of_pair l ~src:2 ~dst:3 in
-  Alcotest.(check bool) "measurement saw both hops" true
-    (Float.abs (ms -. expect) < 1e-9);
-  Alcotest.(check int) "cli trace saw both hops" 2 !cli_hops;
-  Bus.unsubscribe bus cli;
-  Alcotest.(check int) "only cli left to remove" 0 (Bus.subscriber_count bus)
+  Alcotest.(check (float 0.)) "sum of hops" expect (Runtime.now rt)
 
 let suite =
   [
     Alcotest.test_case "deterministic per pair" `Quick test_deterministic_per_pair;
     Alcotest.test_case "asymmetric" `Quick test_asymmetric_pairs;
     Alcotest.test_case "bounds" `Quick test_bounds;
-    Alcotest.test_case "measure sums hops" `Quick test_measure_sums_hops;
-    Alcotest.test_case "measure restores/raises" `Quick test_measure_restores_trace_and_raises;
-    Alcotest.test_case "measure zero" `Quick test_measure_zero_messages;
-    Alcotest.test_case "measure composes with subscribers" `Quick
-      test_measure_composes_with_other_subscribers;
+    Alcotest.test_case "runtime sums hops" `Quick test_runtime_sums_hops;
   ]

@@ -187,12 +187,13 @@ let test_save_keeps_hooks () =
         (Trace.episode_count tr))
 
 (* Regression: a save that dies mid-way (unwritable path, full disk)
-   must leave bus subscribers in place. The old code cleared them before
-   opening the file and never put them back. *)
+   must leave the bus's probe and wait hook in place. The old code
+   cleared bus observers before opening the file and never put them
+   back. *)
 let test_failed_save_restores_observers () =
-  let net, _, _ = hooked_net () in
-  let hops = ref 0 in
-  ignore (Bus.subscribe (Net.bus net) (fun ~src:_ ~dst:_ ~kind:_ -> incr hops));
+  let net, _, deliveries = hooked_net () in
+  let waits = ref 0 in
+  Bus.set_wait (Net.bus net) (Some (fun ~src:_ ~dst:_ _ -> incr waits));
   let bad_path =
     Filename.concat (Filename.get_temp_dir_name ()) "no/such/dir/x.snap"
   in
@@ -201,12 +202,12 @@ let test_failed_save_restores_observers () =
   | exception Sys_error _ -> ());
   Alcotest.(check bool) "tracer attached" true (Option.is_some (Net.tracer net));
   ignore (Search.exact net ~from:(Net.random_peer net) 123_456);
-  Alcotest.(check bool) "subscriber still fires" true (!hops > 0)
+  Alcotest.(check bool) "probe still fires" true (!deliveries > 0);
+  Alcotest.(check bool) "wait hook still fires" true (!waits > 0)
 
 let test_load_has_no_hooks () =
   let net, _, _ = hooked_net () in
-  ignore (Bus.subscribe (Net.bus net) (fun ~src:_ ~dst:_ ~kind:_ -> ()));
-  Net.set_hop_wait net (Some (fun ~src:_ ~dst:_ ~kind:_ ~outcome:_ -> ()));
+  Bus.set_wait (Net.bus net) (Some (fun ~src:_ ~dst:_ _ -> ()));
   let file = snap_path () in
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
@@ -216,14 +217,14 @@ let test_load_has_no_hooks () =
       Alcotest.(check int) "roundtrip size" (Net.size net) (Net.size restored);
       Alcotest.(check bool) "no tracer" true (Option.is_none (Net.tracer restored));
       Alcotest.(check bool) "no heat" true (Option.is_none (Net.heat restored));
-      Alcotest.(check bool) "no hop wait" true
-        (Option.is_none (Net.hop_wait restored));
       Alcotest.(check bool) "no probe" true
         (Option.is_none (Bus.probe (Net.bus restored)));
-      Alcotest.(check int) "no subscribers" 0
-        (Bus.subscriber_count (Net.bus restored));
-      Alcotest.(check int) "original keeps its subscriber" 1
-        (Bus.subscriber_count (Net.bus net)))
+      Alcotest.(check bool) "no wait hook" false
+        (Bus.wait_installed (Net.bus restored));
+      Alcotest.(check bool) "original keeps its probe" true
+        (Option.is_some (Bus.probe (Net.bus net)));
+      Alcotest.(check bool) "original keeps its wait hook" true
+        (Bus.wait_installed (Net.bus net)))
 
 let suite =
   [

@@ -101,6 +101,127 @@ let test_lock_fifo () =
   Alcotest.(check (list int)) "FIFO hand-off" [ 1; 2; 3 ] (List.rev !order);
   Alcotest.(check bool) "released" false (Runtime.Lock.held lock)
 
+(* Shared holders overlap in virtual time. *)
+let test_lock_readers_overlap () =
+  let rt = Runtime.of_bus (Baton_sim.Bus.create ()) in
+  let lock = Runtime.Lock.create () in
+  let done_at = ref [] in
+  for _ = 1 to 3 do
+    Runtime.spawn rt
+      (fun () ->
+        Runtime.Lock.with_shared lock (fun () ->
+            Alcotest.(check bool) "held" true (Runtime.Lock.held lock);
+            Runtime.sleep 10.);
+        done_at := Runtime.now rt :: !done_at)
+      ~on_done:(fun _ -> ())
+  done;
+  Runtime.run rt;
+  Alcotest.(check (list (float 0.))) "all three at once" [ 10.; 10.; 10. ]
+    !done_at;
+  Alcotest.(check bool) "released" false (Runtime.Lock.held lock)
+
+(* A queued writer blocks readers that arrive after it: arrival order,
+   not side, decides admission. *)
+let test_lock_writer_blocks_later_readers () =
+  let rt = Runtime.of_bus (Baton_sim.Bus.create ()) in
+  let lock = Runtime.Lock.create () in
+  let entered = ref [] in
+  let client name ~at ~with_side ~hold =
+    Runtime.spawn ~at rt
+      (fun () ->
+        with_side lock (fun () ->
+            entered := (name, Runtime.now rt) :: !entered;
+            Runtime.sleep hold))
+      ~on_done:(fun _ -> ())
+  in
+  client "r1" ~at:0. ~with_side:Runtime.Lock.with_shared ~hold:10.;
+  client "w" ~at:1. ~with_side:Runtime.Lock.with_lock ~hold:10.;
+  client "r2" ~at:2. ~with_side:Runtime.Lock.with_shared ~hold:10.;
+  Runtime.run rt;
+  Alcotest.(check (list (pair string (float 0.))))
+    "r2 waits for the writer queued before it"
+    [ ("r1", 0.); ("w", 10.); ("r2", 20.) ]
+    (List.rev !entered)
+
+(* A release hands the lock to a queued reader, whose resumption is
+   still pending when a new reader arrives at the same instant. The
+   newcomer may not overtake the grant: it queues, and the grant admits
+   it when it resumes. *)
+let test_lock_pending_grant_keeps_order () =
+  let rt = Runtime.of_bus (Baton_sim.Bus.create ()) in
+  let lock = Runtime.Lock.create () in
+  let entered = ref [] in
+  let enter name = entered := (name, Runtime.now rt) :: !entered in
+  Runtime.spawn rt
+    (fun () ->
+      Runtime.Lock.with_lock lock (fun () -> Runtime.sleep 10.);
+      (* The release just granted "queued"; it has not resumed yet. *)
+      Runtime.Lock.with_shared lock (fun () -> enter "newcomer"))
+    ~on_done:(fun _ -> ());
+  Runtime.spawn ~at:1. rt
+    (fun () -> Runtime.Lock.with_shared lock (fun () -> enter "queued"))
+    ~on_done:(fun _ -> ());
+  Runtime.run rt;
+  Alcotest.(check (list (pair string (float 0.))))
+    "the grant resumes first, then admits the newcomer"
+    [ ("queued", 10.); ("newcomer", 10.) ]
+    (List.rev !entered);
+  Alcotest.(check bool) "released" false (Runtime.Lock.held lock)
+
+(* An exception inside either side releases that side. *)
+let test_lock_exception_releases () =
+  let rt = Runtime.of_bus (Baton_sim.Bus.create ()) in
+  let lock = Runtime.Lock.create () in
+  let writer_in = ref (-1.) in
+  let boom with_side () =
+    match with_side lock (fun () -> Runtime.sleep 5.; failwith "boom") with
+    | () -> Alcotest.fail "expected the exception"
+    | exception Failure _ -> ()
+  in
+  Runtime.spawn rt (boom Runtime.Lock.with_shared) ~on_done:(fun _ -> ());
+  Runtime.spawn rt (boom Runtime.Lock.with_shared) ~on_done:(fun _ -> ());
+  Runtime.spawn ~at:1. rt (boom Runtime.Lock.with_lock) ~on_done:(fun _ -> ());
+  Runtime.spawn ~at:2. rt
+    (fun () ->
+      Runtime.Lock.with_lock lock (fun () -> writer_in := Runtime.now rt))
+    ~on_done:(fun _ -> ());
+  Runtime.run rt;
+  Alcotest.(check (float 0.)) "both sides were released" 10. !writer_in;
+  Alcotest.(check bool) "released" false (Runtime.Lock.held lock)
+
+(* Under a runtime, [Bus.send] charges every outcome on the virtual
+   clock: a delivery its pair latency, an unreachable or lost message
+   the timeout, a self-send and a bare [post] nothing. *)
+let test_bus_send_outcomes_on_runtime () =
+  let bus = Baton_sim.Bus.create () in
+  let lat = Latency.create ~seed:3 () in
+  let rt = Runtime.of_bus ~timeout_ms:300. ~latency:lat bus in
+  let clock = ref [] in
+  let step f =
+    (try f () with Baton_sim.Bus.Unreachable _ | Baton_sim.Bus.Timeout _ -> ());
+    clock := Runtime.now rt :: !clock
+  in
+  Baton_sim.Bus.fail bus 3;
+  Runtime.spawn rt
+    (fun () ->
+      step (fun () -> Baton_sim.Bus.send bus ~src:1 ~dst:2 ~kind:"x");
+      step (fun () -> Baton_sim.Bus.send bus ~src:1 ~dst:3 ~kind:"x");
+      Baton_sim.Bus.set_faults bus ~seed:1 ~drop_rate:1.0 ~transient_rate:0. ();
+      step (fun () -> Baton_sim.Bus.send bus ~src:1 ~dst:2 ~kind:"x");
+      Baton_sim.Bus.clear_faults bus;
+      step (fun () -> Baton_sim.Bus.send bus ~src:1 ~dst:1 ~kind:"x");
+      step (fun () -> Baton_sim.Bus.post bus ~src:1 ~dst:2 ~kind:"x"))
+    ~on_done:(fun _ -> ());
+  Runtime.run rt;
+  let d = Latency.of_pair lat ~src:1 ~dst:2 in
+  Alcotest.(check (list (float 1e-9))) "virtual instants"
+    [ d; d +. 300.; d +. 600.; d +. 600.; d +. 600. ]
+    (List.rev !clock);
+  Alcotest.(check int) "every transmission counted" 4
+    (Metrics.total (Baton_sim.Bus.metrics bus));
+  Alcotest.(check bool) "hook removed after the run" false
+    (Baton_sim.Bus.wait_installed bus)
+
 (* The PR's acceptance bar: a range query fanning out over many peers
    finishes in strictly less virtual time than the serial sum of its
    hop latencies, while transmitting exactly the same messages. *)
@@ -139,9 +260,11 @@ let test_range_critical_path () =
   let lo = c - (8 * w) and hi = c + (8 * w) in
   let metrics = Net.metrics net in
   let cp = Metrics.checkpoint metrics in
+  (* The serial side: the same query alone on a runtime, without
+     [~par], so its sweeps run one after the other. *)
   let serial_out, serial_ms =
-    Latency.measure lat (Net.bus net) (fun () ->
-        Baton.Search.range net ~from ~lo ~hi)
+    Baton_experiments.Common.time_alone (Runtime.create ~latency:lat net)
+      (fun () -> Baton.Search.range net ~from ~lo ~hi)
   in
   let serial_msgs = Metrics.since metrics cp in
   let rt = Runtime.create ~latency:lat net in
@@ -306,12 +429,62 @@ let test_config_rejects_zero_rate () =
            ~n:20 ~mix:Driver.read_heavy ()
           : Driver.config))
 
+(* Regression: an empty key set used to build the whole network and
+   then die in [Zipf.create]; the config now refuses it up front. *)
+let test_config_rejects_empty_key_set () =
+  Alcotest.check_raises "keys_per_node = 0"
+    (Invalid_argument "Driver.config: keys_per_node < 1") (fun () ->
+      ignore
+        (Driver.config ~keys_per_node:0 ~n:20 ~mix:Driver.read_heavy ()
+          : Driver.config))
+
+(* The comparison overlays run on the fiber runtime under the
+   shared/exclusive lock: concurrency changes only the clock. At 32
+   clients and at 1 they count the same messages, completions and
+   failures with zero oracle violations, and 32 clients finish sooner
+   in virtual time. *)
+let test_overlays_concurrent_match_serial () =
+  List.iter
+    (fun overlay ->
+      let run clients =
+        Driver.run
+          (Driver.config ~overlay ~seed:7 ~keys_per_node:3 ~clients ~ops:120
+             ~n:60 ~oracle:true ~mix:Driver.churn_heavy ())
+      in
+      let many = run 32 and one = run 1 in
+      let counts (r : Driver.report) =
+        (r.Driver.messages, r.Driver.completed, r.Driver.failed)
+      in
+      Alcotest.(check (triple int int int))
+        (overlay ^ ": same messages, completions, failures")
+        (counts one) (counts many);
+      List.iter
+        (fun (r : Driver.report) ->
+          Alcotest.(check int) (overlay ^ ": no violations") 0
+            (Baton_obs.Oracle.violation_count (Option.get r.Driver.oracle)))
+        [ many; one ];
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: 32 clients (%.0f ms) beat 1 (%.0f ms)" overlay
+           many.Driver.duration_ms one.Driver.duration_ms)
+        true
+        (many.Driver.duration_ms < one.Driver.duration_ms))
+    [ "chord"; "multiway"; "skip-graph" ]
+
 let suite =
   [
     Alcotest.test_case "sleep/virtual clock" `Quick test_sleep_and_clock;
     Alcotest.test_case "both overlaps children" `Quick test_both_overlaps;
     Alcotest.test_case "both propagates errors" `Quick test_both_propagates_errors;
     Alcotest.test_case "lock FIFO + exclusion" `Quick test_lock_fifo;
+    Alcotest.test_case "lock readers overlap" `Quick test_lock_readers_overlap;
+    Alcotest.test_case "lock writer blocks later readers" `Quick
+      test_lock_writer_blocks_later_readers;
+    Alcotest.test_case "lock pending grant keeps order" `Quick
+      test_lock_pending_grant_keeps_order;
+    Alcotest.test_case "lock exception releases" `Quick
+      test_lock_exception_releases;
+    Alcotest.test_case "bus send outcomes on runtime" `Quick
+      test_bus_send_outcomes_on_runtime;
     Alcotest.test_case "range critical path < serial sum" `Quick
       test_range_critical_path;
     Alcotest.test_case "driver deterministic" `Quick test_driver_deterministic;
@@ -325,4 +498,8 @@ let suite =
       test_config_rejects_negative_think;
     Alcotest.test_case "config rejects zero open rate" `Quick
       test_config_rejects_zero_rate;
+    Alcotest.test_case "config rejects empty key set" `Quick
+      test_config_rejects_empty_key_set;
+    Alcotest.test_case "overlays concurrent = serial counts" `Quick
+      test_overlays_concurrent_match_serial;
   ]

@@ -214,51 +214,55 @@ let test_bus_send_and_failures () =
   Bus.send bus ~src:1 ~dst:3 ~kind:"x";
   Alcotest.(check int) "revived" 0 (Bus.failed_count bus)
 
-let test_bus_trace () =
+(* The hop-suspension seam, with a recording hook standing in for the
+   runtime: [send] waits after every transmitted message — delivered,
+   timed out or unreachable — and re-raises only after the wait;
+   [post] and self-sends never wait; the probe's bracket closes before
+   the wait opens. *)
+let test_bus_send_waits () =
   let bus = Bus.create () in
-  let seen = ref [] in
-  let sub =
-    Bus.subscribe bus (fun ~src ~dst ~kind -> seen := (src, dst, kind) :: !seen)
+  let log = ref [] in
+  let note e = log := e :: !log in
+  Bus.set_probe bus
+    (Some { Bus.before = (fun () -> note "before"); after = (fun () -> note "after") });
+  Bus.set_wait bus
+    (Some
+       (fun ~src ~dst outcome ->
+         note
+           (Printf.sprintf "wait %d->%d %s" src dst
+              (match outcome with
+              | Bus.Delivered -> "delivered"
+              | Bus.Timed_out -> "timed out"))));
+  let events f =
+    log := [];
+    (match f () with () -> note "returned" | exception e -> note (Printexc.to_string e));
+    List.rev !log
   in
-  Bus.send bus ~src:1 ~dst:2 ~kind:"t";
-  Bus.unsubscribe bus sub;
-  Bus.send bus ~src:2 ~dst:1 ~kind:"t";
-  Alcotest.(check int) "hook saw one" 1 (List.length !seen)
-
-let test_bus_multi_subscribers () =
-  let bus = Bus.create () in
-  let a = ref 0 and b = ref 0 in
-  let sa = Bus.subscribe bus (fun ~src:_ ~dst:_ ~kind:_ -> incr a) in
-  let sb = Bus.subscribe bus (fun ~src:_ ~dst:_ ~kind:_ -> incr b) in
-  Alcotest.(check int) "two subscribers" 2 (Bus.subscriber_count bus);
-  Bus.send bus ~src:1 ~dst:2 ~kind:"t";
-  Bus.unsubscribe bus sa;
-  Bus.send bus ~src:2 ~dst:1 ~kind:"t";
-  Bus.unsubscribe bus sb;
-  Alcotest.(check int) "first saw one" 1 !a;
-  Alcotest.(check int) "second saw both" 2 !b;
-  Alcotest.(check int) "all gone" 0 (Bus.subscriber_count bus)
-
-(* Regression for the O(n²) subscribe (list-append per subscription):
-   thousands of subscribers must register quickly and still be invoked
-   in subscription order, including after selective unsubscription. *)
-let test_bus_subscriber_horde () =
-  let bus = Bus.create () in
-  let order = ref [] in
-  let n = 2000 in
-  let subs =
-    Array.init n (fun i ->
-        Bus.subscribe bus (fun ~src:_ ~dst:_ ~kind:_ -> order := i :: !order))
-  in
-  Bus.send bus ~src:1 ~dst:2 ~kind:"t";
-  Alcotest.(check bool) "invoked in subscription order" true
-    (List.rev !order = List.init n Fun.id);
-  Array.iteri (fun i s -> if i mod 2 = 1 then Bus.unsubscribe bus s) subs;
-  order := [];
-  Bus.send bus ~src:1 ~dst:2 ~kind:"t";
-  Alcotest.(check bool) "order survives unsubscription" true
-    (List.rev !order = List.init (n / 2) (fun i -> 2 * i));
-  Alcotest.(check int) "count" (n / 2) (Bus.subscriber_count bus)
+  Alcotest.(check (list string)) "delivered"
+    [ "before"; "after"; "wait 1->2 delivered"; "returned" ]
+    (events (fun () -> Bus.send bus ~src:1 ~dst:2 ~kind:"x"));
+  Bus.fail bus 3;
+  Alcotest.(check (list string)) "unreachable waits, then raises"
+    [ "before"; "after"; "wait 1->3 timed out"; "Baton_sim.Bus.Unreachable(3)" ]
+    (events (fun () -> Bus.send bus ~src:1 ~dst:3 ~kind:"x"));
+  Bus.set_faults bus ~seed:1 ~drop_rate:1.0 ~transient_rate:0. ();
+  Alcotest.(check (list string)) "timeout waits, then raises"
+    [ "before"; "after"; "wait 1->2 timed out"; "Baton_sim.Bus.Timeout(2)" ]
+    (events (fun () -> Bus.send bus ~src:1 ~dst:2 ~kind:"x"));
+  Bus.clear_faults bus;
+  Alcotest.(check (list string)) "post never waits"
+    [ "before"; "after"; "returned" ]
+    (events (fun () -> Bus.post bus ~src:1 ~dst:2 ~kind:"x"));
+  Alcotest.(check (list string)) "self-send neither counts nor waits"
+    [ "returned" ]
+    (events (fun () -> Bus.send bus ~src:2 ~dst:2 ~kind:"x"));
+  Alcotest.(check bool) "hook installed" true (Bus.wait_installed bus);
+  Alcotest.(check bool) "unhooked copy has none" false
+    (Bus.wait_installed (Bus.unhooked bus));
+  Bus.set_wait bus None;
+  Alcotest.(check (list string)) "no hook, no wait"
+    [ "before"; "after"; "returned" ]
+    (events (fun () -> Bus.send bus ~src:1 ~dst:2 ~kind:"x"))
 
 let suite =
   [
@@ -276,7 +280,5 @@ let suite =
     Alcotest.test_case "metrics checkpoint" `Quick test_metrics_checkpoint;
     Alcotest.test_case "metrics events/reset" `Quick test_metrics_event_since_and_reset;
     Alcotest.test_case "bus send/failures" `Quick test_bus_send_and_failures;
-    Alcotest.test_case "bus trace" `Quick test_bus_trace;
-    Alcotest.test_case "bus multi subscribers" `Quick test_bus_multi_subscribers;
-    Alcotest.test_case "bus subscriber horde" `Quick test_bus_subscriber_horde;
+    Alcotest.test_case "bus send waits" `Quick test_bus_send_waits;
   ]
