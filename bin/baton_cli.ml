@@ -156,12 +156,39 @@ let churn nodes seed rounds fail_percent =
   Baton.Check.all net;
   Printf.printf "All structural invariants hold after churn.\n"
 
+(* Load the snapshot at [path] for command [cmd], or exit 1 with one
+   message saying how to get a readable one: [inspect --snapshot]
+   writes a fresh snapshot to a path that does not exist yet. *)
+let load_snapshot ~cmd path =
+  let fail problem =
+    Printf.eprintf "baton %s: %s\n%s\n" cmd problem
+      (if Sys.file_exists path then
+         Printf.sprintf
+           "Remove %s, then run `baton inspect --snapshot %s` to write a \
+            fresh one."
+           path path
+       else
+         Printf.sprintf "Run `baton inspect --snapshot %s` to write one." path);
+    exit 1
+  in
+  match Net.load path with
+  | net -> net
+  | exception Net.Incompatible_snapshot { found; expected } ->
+    fail
+      (Printf.sprintf
+         "%s holds snapshot version %S, but this build reads %S." path found
+         expected)
+  | exception Failure msg -> fail (Printf.sprintf "%s: %s" path msg)
+  | exception End_of_file -> fail (Printf.sprintf "%s: truncated snapshot" path)
+  | exception Sys_error msg -> fail msg
+
 let inspect nodes seed show_tree snapshot =
   let net =
     match snapshot with
     | Some path when Sys.file_exists path ->
+      let net = load_snapshot ~cmd:"inspect" path in
       Printf.printf "(loaded snapshot %s)\n" path;
-      Net.load path
+      net
     | _ ->
       let net = N.build ~seed nodes in
       (match snapshot with
@@ -293,35 +320,23 @@ let hist_json h =
       ]
 
 (* Run a deterministic mixed workload under a tracer and report
-   per-operation-kind percentile digests plus per-node load gauges — the
-   tail-visibility companion to [simulate]'s means. Each top-level
-   operation is one trace episode (nested restructures and repairs fold
-   into it); its hops are the critical-path length, its msgs every
-   transmission. *)
+   per-operation-kind percentile digests plus one digest of the final
+   per-peer message load — the tail-visibility companion to
+   [simulate]'s means. Each top-level operation is one trace episode
+   (nested restructures and repairs fold into it); its hops are the
+   critical-path length, its msgs every transmission. The load digest
+   covers every peer that ever handled a message, departed ones
+   included. *)
 let stats nodes seed keys_per_node queries churn_rounds snapshot =
   let module Trace = Baton_obs.Trace in
   let module Histogram = Baton_util.Histogram in
   let net =
     match snapshot with
     | None -> N.build ~seed nodes
-    | Some path -> (
-      match Net.load path with
-      | net ->
-        Printf.eprintf "(loaded snapshot %s: %d peers)\n%!" path (Net.size net);
-        net
-      | exception Net.Incompatible_snapshot { found; expected } ->
-        Printf.eprintf
-          "baton stats: %s holds snapshot version %S, but this build reads \
-           %S.\nRegenerate it with the current binary (e.g. `baton inspect \
-           --snapshot %s`).\n"
-          path found expected path;
-        exit 1
-      | exception Failure msg ->
-        Printf.eprintf "baton stats: %s: %s\n" path msg;
-        exit 1
-      | exception Sys_error msg ->
-        Printf.eprintf "baton stats: %s\n" msg;
-        exit 1)
+    | Some path ->
+      let net = load_snapshot ~cmd:"stats" path in
+      Printf.eprintf "(loaded snapshot %s: %d peers)\n%!" path (Net.size net);
+      net
   in
   let tracer = Trace.create ~capacity:1 () in
   Net.set_tracer net (Some tracer);
@@ -347,19 +362,6 @@ let stats nodes seed keys_per_node queries churn_rounds snapshot =
     | Some _ | None -> ());
     v
   in
-  let gauge = Baton_obs.Gauge.create () in
-  let metrics = Net.metrics net in
-  let ops_done = ref 0 in
-  let sample_every = max 1 ((queries + (2 * churn_rounds)) / 8) in
-  let tick () =
-    incr ops_done;
-    if !ops_done mod sample_every = 0 then begin
-      let loads =
-        Metrics.per_node metrics |> List.map snd |> Array.of_list
-      in
-      Baton_obs.Gauge.sample gauge ~time:(float_of_int !ops_done) loads
-    end
-  in
   let gen = Datagen.uniform (Rng.create (seed + 1)) in
   let keys = Array.init (keys_per_node * nodes) (fun _ -> Datagen.next gen) in
   Array.iter
@@ -370,12 +372,10 @@ let stats nodes seed keys_per_node queries churn_rounds snapshot =
   let crng = Rng.create (seed + 3) in
   for _ = 1 to churn_rounds do
     observe (fun () -> ignore (N.join net));
-    tick ();
     if Net.size net > 2 then begin
       let ids = Net.live_ids net in
       observe (fun () -> N.leave net (Rng.pick crng ids))
-    end;
-    tick ()
+    end
   done;
   let qrng = Rng.create (seed + 2) in
   let span = range_span nodes in
@@ -392,10 +392,12 @@ let stats nodes seed keys_per_node queries churn_rounds snapshot =
      else
        let k = Rng.pick qrng keys in
        observe (fun () ->
-           ignore (Baton.Search.lookup net ~from:(Net.random_peer net) k)));
-    tick ()
+           ignore (Baton.Search.lookup net ~from:(Net.random_peer net) k)))
   done;
   Net.set_tracer net None;
+  let load = Histogram.create () in
+  List.iter (fun (_, count) -> Histogram.add load count)
+    (Metrics.per_node (Net.metrics net));
   let module Json = Baton_obs.Json in
   let ops =
     Hashtbl.fold (fun kind d acc -> (kind, d) :: acc) digests []
@@ -412,13 +414,7 @@ let stats nodes seed keys_per_node queries churn_rounds snapshot =
   print_endline
     (Json.to_pretty_string
        (Json.Obj
-          [
-            ("ops", Json.List ops);
-            ( "load",
-              Json.List
-                (List.map Baton_obs.Gauge.sample_json
-                   (Baton_obs.Gauge.samples gauge)) );
-          ]))
+          [ ("ops", Json.List ops); ("load", hist_json load) ]))
 
 let compare_overlays nodes seed ops =
   let rng = Rng.create (seed + 9) in
@@ -613,9 +609,10 @@ let bench_run nodes seed keys_per_node ops clients overlay_names mix_names
 
 (* Render a bench-run report's demand sections — ASCII key-space
    heatmap, heavy-hitter table, per-class attribution — from the JSON
-   document on disk. Reads v7 documents; runs without a [load] section
-   (heat was off) are skipped, and if nothing renders the exit status
-   says how to get one. *)
+   document on disk. Reads v7 and v8 documents (v8 only dropped
+   [health.load]); runs without a [load] section (heat was off) are
+   skipped, and if nothing renders the exit status says how to get
+   one. *)
 let heat_render path overlay_filter mix_filter =
   let contents =
     match In_channel.with_open_text path In_channel.input_all with
@@ -826,14 +823,15 @@ let stats_snapshot_arg =
     & info [ "snapshot" ] ~docv:"FILE"
         ~doc:
           "Run the workload on a network loaded from FILE instead of \
-           building one. Exits nonzero if FILE holds an incompatible \
-           snapshot version.")
+           building one. Exits 1 if FILE is missing, not a snapshot or \
+           an incompatible snapshot version, saying how to write a \
+           fresh one.")
 
 let stats_cmd =
   let doc =
     "Run a mixed workload under a tracer and report p50/p95/p99/max \
      critical-path hops and message costs per top-level operation kind, \
-     plus per-node load gauges."
+     plus the same digest of the final per-peer message load."
   in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(
@@ -868,7 +866,10 @@ let snapshot_arg =
   Arg.(
     value & opt (some string) None
     & info [ "snapshot" ] ~docv:"FILE"
-        ~doc:"Load the network from FILE if it exists, else build and save it there.")
+        ~doc:
+          "Load the network from FILE if it exists, else build and save it \
+           there. Exits 1 if FILE is not a snapshot or an incompatible \
+           snapshot version.")
 
 let bench_ops_arg =
   Arg.(
@@ -899,8 +900,8 @@ let mix_arg =
     value & opt_all string []
     & info [ "mix" ] ~docv:"MIX"
         ~doc:
-          "Mix to run (read-heavy, range-heavy, churn-heavy); repeatable. \
-           Default: all three.")
+          "Mix to run (read-heavy, range-heavy, churn-heavy, adversarial); \
+           repeatable. Default: the first three.")
 
 let arrival_arg =
   Arg.(

@@ -21,7 +21,6 @@
    byte-identical. *)
 
 module Metrics = Baton_sim.Metrics
-module Gauge = Baton_obs.Gauge
 module Heat = Baton_obs.Heat
 module Json = Baton_obs.Json
 
@@ -100,7 +99,6 @@ type t = {
   mutable count : int;
   mutable events_rev : event list;
   states : (string, comp_state) Hashtbl.t;
-  load_gauge : Gauge.t;
   (* Interval anchor for per-tick rates (cache staleness). *)
   mutable mark : Metrics.checkpoint;
 }
@@ -127,7 +125,6 @@ let create ?(capacity = 4096) ?(thresholds = default_thresholds) net =
     count = 0;
     events_rev = [];
     states;
-    load_gauge = Gauge.create ~capacity ();
     mark = Metrics.checkpoint (Baton_sim.Bus.metrics (Net.bus net));
   }
 
@@ -182,24 +179,17 @@ let tick t ~time =
   (* Per-node access-load skew (Figure 8(f) as a time series). Only
      currently-registered peers count: load on departed nodes is
      history, not present imbalance. *)
-  let loads =
-    List.filter_map
-      (fun (node, count) ->
-        match Net.peer_opt t.net node with
-        | Some _ -> Some count
-        | None -> None)
-      (Metrics.per_node metrics)
+  let nodes, total, peak =
+    List.fold_left
+      (fun ((nodes, total, peak) as acc) (node, count) ->
+        if Option.is_some (Net.peer_opt t.net node) then
+          (nodes + 1, total + count, max peak count)
+        else acc)
+      (0, 0, 0) (Metrics.per_node metrics)
   in
   let skew =
-    match loads with
-    | [] -> 0.
-    | loads ->
-      let arr = Array.of_list loads in
-      Gauge.sample t.load_gauge ~time arr;
-      let total = Array.fold_left ( + ) 0 arr in
-      let mean = float_of_int total /. float_of_int (Array.length arr) in
-      if mean <= 0. then 0.
-      else float_of_int (Array.fold_left max 0 arr) /. mean
+    if total = 0 then 0.
+    else float_of_int peak /. (float_of_int total /. float_of_int nodes)
   in
   let load_failing = skew > t.thresholds.max_skew in
   (* Cache staleness over this interval: of the shortcut probes that
@@ -319,8 +309,6 @@ let current t component =
   | Some s -> s.current
   | None -> invalid_arg "Monitor.current: unknown component"
 
-let load_gauge t = t.load_gauge
-
 (* --- Export --------------------------------------------------------- *)
 
 let sample_json s =
@@ -361,10 +349,6 @@ let json t =
     [
       ("samples", Json.List (List.map sample_json (samples t)));
       ("events", Json.List (List.map event_json evs));
-      ( "load",
-        Json.List
-          (List.map Gauge.sample_json
-             (Gauge.samples t.load_gauge)) );
       ( "summary",
         Json.Obj
           [

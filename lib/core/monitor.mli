@@ -38,8 +38,9 @@ val c_links : string
     operation; wrong identities are damage). *)
 
 val c_load : string
-(** Per-node message-load skew (max/mean) from [Metrics.per_node],
-    against [max_skew]. *)
+(** Per-node message-load skew (max/mean) over the registered peers'
+    [Metrics.per_node] counts, against [max_skew]. Departed peers keep
+    their counts in [Metrics] but are left out. *)
 
 val c_cache : string
 (** Route-cache staleness rate over the last interval, against
@@ -124,13 +125,11 @@ val current : t -> string -> level
 (** Current status of a component ({!c_overall} included).
     @raise Invalid_argument for unknown names. *)
 
-val load_gauge : t -> Baton_obs.Gauge.t
-(** The per-node load time series fed by [tick]. *)
-
 val sample_json : sample -> Baton_obs.Json.t
 val event_json : event -> Baton_obs.Json.t
 
 val json : t -> Baton_obs.Json.t
-(** Full health report: samples, events, load series, and a summary
-    (tick/transition counts, final overall status). Deterministic —
-    same-seed runs export byte-identical health sections. *)
+(** Full health report: samples, events and a summary (tick/transition
+    counts, final overall status). Per-peer load appears once, as each
+    sample's [skew]. Deterministic — same-seed runs export
+    byte-identical health sections. *)

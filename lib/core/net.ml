@@ -17,16 +17,6 @@ module Pos_table = Hashtbl.Make (struct
   let hash k = k lxor (k lsr 16)
 end)
 
-(* One deferred notification, pooled. All fields are dummies while the
-   record sits in the free pool. *)
-type pending = {
-  mutable p_src : int;
-  mutable p_dst : int;
-  mutable p_kind : string;
-  mutable p_expect : Position.t option;
-  mutable p_f : (Node.t -> unit) option;
-}
-
 (* Protocol state: everything [save] writes, so nothing here may hold a
    closure once the deferred queue is drained. *)
 type state = {
@@ -43,12 +33,10 @@ type state = {
   domain : Range.t;
   mutable next_id : int;
   mutable defer : bool;
-  deferred : pending Dyn_array.t;
-  (* Recycled notification records. A deferred notify reuses one of
-     these instead of allocating a fresh closure per call; the [p_f]
-     callback is cleared when the record returns to the pool, so an
-     idle pool holds no closures and the network still marshals. *)
-  pool : pending Dyn_array.t;
+  (* Notifications held back in defer mode, oldest first. Draining
+     clears the array (dropping its backing store), so a flushed
+     network holds no closure and still marshals. *)
+  deferred : (unit -> unit) Dyn_array.t;
   shifts : Histogram.t;
   (* Resilient-messaging state: bounded retransmissions on Timeout and
      the per-peer suspicion counters behind lazy failure detection. *)
@@ -106,7 +94,6 @@ let create ?(seed = 42) ~domain () =
         next_id = 0;
         defer = false;
         deferred = Dyn_array.create ();
-        pool = Dyn_array.create ();
         shifts = Histogram.create ();
         retry_limit = default_retry_limit;
         suspicions = Hashtbl.create 64;
@@ -494,19 +481,9 @@ let apply_notification t ~src ~dst ~kind ~expect_pos f =
       ev Msg.ev_notify_dropped)
 
 let notify ?expect_pos t ~src ~dst ~kind f =
-  if t.st.defer then begin
-    let p =
-      if Dyn_array.is_empty t.st.pool then
-        { p_src = 0; p_dst = 0; p_kind = ""; p_expect = None; p_f = None }
-      else Dyn_array.pop t.st.pool
-    in
-    p.p_src <- src;
-    p.p_dst <- dst;
-    p.p_kind <- kind;
-    p.p_expect <- expect_pos;
-    p.p_f <- Some f;
-    Dyn_array.push t.st.deferred p
-  end
+  if t.st.defer then
+    Dyn_array.push t.st.deferred (fun () ->
+        apply_notification t ~src ~dst ~kind ~expect_pos f)
   else apply_notification t ~src ~dst ~kind ~expect_pos f
 
 let set_defer t flag = t.st.defer <- flag
@@ -518,21 +495,7 @@ let flush_deferred t =
   while not (Dyn_array.is_empty t.st.deferred) do
     let batch = Dyn_array.to_array t.st.deferred in
     Dyn_array.clear t.st.deferred;
-    Array.iter
-      (fun p ->
-        let f = Option.get p.p_f in
-        let src = p.p_src
-        and dst = p.p_dst
-        and kind = p.p_kind
-        and expect_pos = p.p_expect in
-        (* Recycle before running: the callback may defer follow-ups,
-           which can then reuse this very record. *)
-        p.p_f <- None;
-        p.p_kind <- "";
-        p.p_expect <- None;
-        Dyn_array.push t.st.pool p;
-        apply_notification t ~src ~dst ~kind ~expect_pos f)
-      batch
+    Array.iter (fun run -> run ()) batch
   done
 
 let record_shift t n = Histogram.add t.st.shifts n
@@ -541,7 +504,7 @@ let shift_histogram t = t.st.shifts
 (* Snapshot format: a magic string (to fail fast on foreign files)
    followed by the marshalled protocol state. Hooks are never written,
    so adding an observer never changes the format. *)
-let snapshot_magic = "BATON-NET-v9"
+let snapshot_magic = "BATON-NET-v10"
 
 let save t path =
   if not (Dyn_array.is_empty t.st.deferred) then
@@ -565,20 +528,38 @@ let () =
            found expected)
     | _ -> None)
 
-let magic_prefix = "BATON-NET-"
+let magic_prefix = "BATON-NET-v"
+
+(* The version tag a snapshot starts with: [magic_prefix] and the
+   digits after it, read up to (not into) the marshalled state, so a
+   tag of any length is reported whole. [None] if the file does not
+   start with the prefix. *)
+let read_magic ic =
+  let n = String.length magic_prefix in
+  match really_input_string ic n with
+  | exception End_of_file -> None
+  | prefix when prefix <> magic_prefix -> None
+  | prefix ->
+    let buf = Buffer.create 16 in
+    Buffer.add_string buf prefix;
+    let rec digits () =
+      match input_char ic with
+      | '0' .. '9' as c ->
+        Buffer.add_char buf c;
+        digits ()
+      | _ -> seek_in ic (pos_in ic - 1)
+      | exception End_of_file -> ()
+    in
+    digits ();
+    Some (Buffer.contents buf)
 
 let load path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      let magic =
-        try really_input_string ic (String.length snapshot_magic)
-        with End_of_file -> failwith "Net.load: not a BATON snapshot"
-      in
-      if magic <> snapshot_magic then
-        if String.starts_with ~prefix:magic_prefix magic then
-          raise
-            (Incompatible_snapshot { found = magic; expected = snapshot_magic })
-        else failwith "Net.load: not a BATON snapshot";
-      { st = (Marshal.from_channel ic : state); hooks = no_hooks () })
+      match read_magic ic with
+      | None -> failwith "Net.load: not a BATON snapshot"
+      | Some found when found <> snapshot_magic ->
+        raise (Incompatible_snapshot { found; expected = snapshot_magic })
+      | Some _ -> { st = (Marshal.from_channel ic : state); hooks = no_hooks () })

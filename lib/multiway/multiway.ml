@@ -404,8 +404,6 @@ let range_query t ~lo ~hi =
   sweep n;
   (!keys, hops + !extra)
 
-let node_load t id = Sorted_store.length (peer t id).store
-
 let check t =
   let fail fmt = Format.kasprintf failwith fmt in
   match t.root with

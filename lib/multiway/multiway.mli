@@ -49,9 +49,6 @@ val lookup : t -> int -> bool * int
 val range_query : t -> lo:int -> hi:int -> int list * int
 (** Keys in the closed interval and the messages spent. *)
 
-val node_load : t -> int -> int
-(** Keys stored at a peer. *)
-
 val check : t -> unit
 (** Verify tree shape, range tiling, neighbour links and data
     placement. @raise Failure on the first violation. *)

@@ -1,10 +1,10 @@
 (* Bounded ring of periodic telemetry samples on the simulated clock.
 
-   Same storage discipline as Gauge: a fixed array indexed modulo
-   capacity, so a million-sample run costs the capacity, not the run
-   length. Values arrive as (name, float) pairs and are stored as
-   given; serialization sorts names through the Json writer, so export
-   order never depends on how a producer assembled a sample. *)
+   A fixed array indexed modulo capacity, so a million-sample run
+   costs the capacity, not the run length. Values arrive as (name,
+   float) pairs and are stored as given; serialization sorts names
+   through the Json writer, so export order never depends on how a
+   producer assembled a sample. *)
 
 type sample = { time : float; values : (string * float) list }
 
@@ -50,8 +50,6 @@ let json_fields t =
     ("dropped", Json.Int (dropped t));
     ("samples", Json.List (List.map sample_json (samples t)));
   ]
-
-let json t = Json.Obj (json_fields t)
 
 let jsonl t =
   let buf = Buffer.create 1024 in

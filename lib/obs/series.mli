@@ -52,9 +52,6 @@ val json_fields : t -> (string * Json.t) list
     the driver into the report's [timeseries] object next to its own
     fields. *)
 
-val json : t -> Json.t
-(** [Json.Obj (json_fields t)]. *)
-
 val jsonl : t -> string
 (** One {!sample_json} per line, oldest first — the artifact format CI
     uploads. Deterministic for same-seed runs. *)

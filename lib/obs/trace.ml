@@ -96,7 +96,6 @@ let create ?(capacity = default_capacity) () =
     parent = -1;
   }
 
-let set_clock t clock = t.clock <- clock
 let use_engine t engine = t.clock <- Some (fun () -> Engine.now engine)
 
 let now t =
@@ -111,11 +110,6 @@ let save t = { m_episode = t.current; m_parent = t.parent }
 let restore t m =
   t.current <- m.m_episode;
   t.parent <- m.m_parent
-
-let with_mark t m f =
-  let outer = save t in
-  restore t m;
-  Fun.protect ~finally:(fun () -> restore t outer) f
 
 (* --- Writer side ---------------------------------------------------- *)
 
@@ -195,7 +189,6 @@ let advance t (ctx : ctx) = t.parent <- ctx.span
 (* --- Read side ------------------------------------------------------ *)
 
 let episode_count t = t.count
-let open_episode t = t.current
 
 let episodes t =
   let n = min t.count t.capacity in

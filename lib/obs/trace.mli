@@ -57,12 +57,9 @@ val create : ?capacity:int -> unit -> t
 (** Collector retaining the last [capacity] (default 256) episodes.
     @raise Invalid_argument if [capacity < 1]. *)
 
-val set_clock : t -> (unit -> float) option -> unit
-(** Timestamp source for send/completion instants. Without one, the
-    global hop counter doubles as the clock. *)
-
 val use_engine : t -> Baton_sim.Engine.t -> unit
-(** [set_clock] to the engine's virtual time. *)
+(** Stamp send/completion instants with the engine's virtual time.
+    Without an engine, the global hop counter doubles as the clock. *)
 
 val time : t -> float
 (** The collector's current instant — the clock when one is set,
@@ -109,16 +106,10 @@ type mark
 val save : t -> mark
 val restore : t -> mark -> unit
 
-val with_mark : t -> mark -> (unit -> 'a) -> 'a
-(** Run [f] under [mark], restoring the previous ambient state after —
-    exception-safe. *)
-
 (** {1 Read side} *)
 
 val episode_count : t -> int
 (** Episodes completed since creation (including any evicted). *)
-
-val open_episode : t -> episode option
 
 val episodes : t -> episode list
 (** Retained completed episodes, oldest first. *)

@@ -184,5 +184,3 @@ let of_name name =
   | "multiway" | "mtree" -> multiway
   | "skip-graph" | "skip_graph" | "skipgraph" -> skip_graph
   | other -> raise (Unknown_overlay { name = other; valid = names })
-
-let by_name = of_name

@@ -90,6 +90,3 @@ val of_name : string -> (module S)
 (** Case-insensitive; accepts the canonical names plus the aliases
     "mtree" (multiway) and "skip_graph"/"skipgraph" (skip-graph).
     @raise Unknown_overlay for anything else. *)
-
-val by_name : string -> (module S)
-(** Alias of {!of_name}. *)

@@ -806,13 +806,14 @@ let report_json r =
     | Json.Null -> []
     | load -> [ ("load", load) ]))
 
-(* v7: a run object gains an optional [load] section (per-peer
-   serve/route/maint/aux attribution, top-k heavy hitters, key-space
-   heatmap, decayed-skew summary) when heat instrumentation is on, the
-   time-series samples gain a [heat_skew] field alongside it, and
-   health samples carry [hot_share] plus the [hotspot] component.
-   Every pre-existing field is byte-identical to its v6 value. *)
-let schema_version = "baton-bench-runtime-v7"
+(* v8: the [health] section drops its [load] array (percentile
+   snapshots of the per-peer message counts); each health sample's
+   [skew] is the one per-peer load reading. Every other field is
+   byte-identical to its v7 value. v7 added the optional run-level
+   [load] section (heat attribution, heavy hitters, key-space heatmap,
+   decayed skew), the series' [heat_skew] and the health samples'
+   [hot_share]/[hotspot] readings. *)
+let schema_version = "baton-bench-runtime-v8"
 
 let scale_schema_version = "baton-bench-scale-v1"
 

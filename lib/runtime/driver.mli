@@ -267,11 +267,12 @@ val report_json : report -> Baton_obs.Json.t
 
 val schema_version : string
 (** Value of the ["schema"] field of {!bench_json}:
-    ["baton-bench-runtime-v7"]. v7 adds an optional per-run ["load"]
-    section (present iff the run had heat instrumentation on), a
-    ["heat_skew"] time-series field alongside it, and the health
-    samples' ["hot_share"]/["hotspot"] readings; every pre-existing
-    field keeps its v6 bytes. *)
+    ["baton-bench-runtime-v8"]. v8 drops the ["health"] section's
+    ["load"] array: each health sample's ["skew"] is the one per-peer
+    load reading, and every other field keeps its v7 bytes. v7 added
+    the optional per-run ["load"] section (present iff the run had heat
+    instrumentation on), the ["heat_skew"] time-series field and the
+    health samples' ["hot_share"]/["hotspot"] readings. *)
 
 val bench_json : (string * report list) list -> Baton_obs.Json.t
 (** The BENCH_runtime.json document, one section per overlay:

@@ -238,10 +238,6 @@ let run t =
 
 (* --- Queue-depth statistics ---------------------------------------- *)
 
-let queue_depths t =
-  Hashtbl.fold (fun node d acc -> (node, d) :: acc) t.depth_max []
-  |> List.sort compare
-
 let queue_depth_max t =
   Hashtbl.fold (fun _ d acc -> max d acc) t.depth_max 0
 

@@ -96,10 +96,6 @@ val suspend : ((unit -> unit) -> unit) -> unit
     transmission to delivery; the runtime tracks the high-water mark
     per destination. *)
 
-val queue_depths : t -> (int * int) list
-(** Per-peer maximum in-flight depth, ascending peer id; peers that
-    never received a message are absent. *)
-
 val queue_depth_max : t -> int
 val queue_depth_mean : t -> float
 (** Maximum/mean of the per-peer maxima (0 before any traffic). *)

@@ -41,8 +41,6 @@ let grown old i =
 let mark_aux t kind =
   if not (Hashtbl.mem t.aux_kinds kind) then Hashtbl.add t.aux_kinds kind ()
 
-let is_aux t kind = Hashtbl.mem t.aux_kinds kind
-
 let record t ~dst ~kind =
   if Hashtbl.mem t.aux_kinds kind then t.aux_total <- t.aux_total + 1
   else t.total <- t.total + 1;

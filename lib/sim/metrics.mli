@@ -26,9 +26,6 @@ val mark_aux : t -> string -> unit
     overlay extensions such as the route cache never perturb the
     paper's metric. *)
 
-val is_aux : t -> string -> bool
-(** Whether a kind was marked auxiliary. *)
-
 val aux_total : t -> int
 (** All auxiliary messages recorded so far. *)
 

@@ -530,8 +530,6 @@ let crash t id =
   untrack t id;
   Sorted_store.to_list x.store
 
-let node_load t id = Sorted_store.length (peer t id).store
-
 let check t =
   let fail fmt = Format.kasprintf failwith fmt in
   if size t = 0 then ()

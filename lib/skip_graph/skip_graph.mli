@@ -92,9 +92,6 @@ val bulk_insert : t -> int list -> int
 (** Amortized batch insert: one search to the owner of the smallest
     key, then a single rightward distribution pass. *)
 
-val node_load : t -> int -> int
-(** Number of keys stored at a live peer. *)
-
 (** {1 Validation} *)
 
 val check : t -> unit

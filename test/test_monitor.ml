@@ -4,7 +4,6 @@
 
 module Monitor = Baton.Monitor
 module Metrics = Baton_sim.Metrics
-module Gauge = Baton_obs.Gauge
 module Json = Baton_obs.Json
 module Rng = Baton_util.Rng
 module N = Baton.Network
@@ -36,9 +35,7 @@ let test_healthy_network_stays_ok () =
   Alcotest.(check int) "sampled population" 30 s.Monitor.nodes;
   Alcotest.(check int) "sampled height" (Baton.Check.height net)
     s.Monitor.height;
-  Alcotest.(check bool) "load observed" true (s.Monitor.skew >= 1.);
-  Alcotest.(check int) "gauge fed every tick" 3
-    (Gauge.count (Monitor.load_gauge mon))
+  Alcotest.(check bool) "load observed" true (s.Monitor.skew >= 1.)
 
 (* A failing threshold reports Degraded first and escalates to
    Violated only after [persist] consecutive failing samples. *)
@@ -125,25 +122,43 @@ let test_transient_failure_recovers () =
 
 (* Load skew under churn: departed peers keep their historical message
    counts in [Metrics.per_node], but present imbalance is a property of
-   the peers still in the overlay — the monitor must filter. *)
+   the peers still in the overlay — the monitor must filter. The
+   busiest peer leaves, so the filtered and unfiltered max/mean
+   ratios differ and dropping the filter shows. *)
 let test_skew_ignores_departed_peers () =
   let net = build ~seed:9 24 in
   let mon = Monitor.create ~thresholds:lax net in
   let s = Monitor.tick mon ~time:1. in
   Alcotest.(check int) "pre-churn population" 24 s.Monitor.nodes;
-  let g = Option.get (Gauge.latest (Monitor.load_gauge mon)) in
-  Alcotest.(check int) "gauge width = live peers" 24 g.Gauge.nodes;
-  for _ = 1 to 4 do
-    N.leave net (Net.random_peer net).Baton.Node.id
-  done;
+  let ratio loads =
+    let total = List.fold_left ( + ) 0 loads in
+    let mean = float_of_int total /. float_of_int (List.length loads) in
+    float_of_int (List.fold_left max 0 loads) /. mean
+  in
+  let busiest =
+    List.fold_left
+      (fun (best, c) (node, count) ->
+        if count > c then (node, count) else (best, c))
+      (-1, 0) (Metrics.per_node (Net.metrics net))
+    |> fst
+  in
+  N.leave net busiest;
   let s = Monitor.tick mon ~time:2. in
-  Alcotest.(check int) "post-churn population" 20 s.Monitor.nodes;
-  let g = Option.get (Gauge.latest (Monitor.load_gauge mon)) in
-  Alcotest.(check int) "departed peers dropped from the gauge" 20
-    g.Gauge.nodes;
-  (* The unfiltered metric still remembers everyone who ever served. *)
-  Alcotest.(check bool) "per_node keeps history" true
-    (List.length (Metrics.per_node (Net.metrics net)) > Net.size net)
+  Alcotest.(check int) "post-churn population" 23 s.Monitor.nodes;
+  let per_node = Metrics.per_node (Net.metrics net) in
+  Alcotest.(check bool) "the busiest peer's count stays in per_node" true
+    (List.mem_assoc busiest per_node);
+  let live =
+    List.filter_map
+      (fun (node, count) ->
+        Option.map (fun _ -> count) (Net.peer_opt net node))
+      per_node
+  in
+  Alcotest.(check int) "one count per registered peer" 23 (List.length live);
+  Alcotest.(check (float 0.)) "skew = max/mean over registered peers"
+    (ratio live) s.Monitor.skew;
+  Alcotest.(check bool) "unfiltered ratio differs" true
+    (ratio (List.map snd per_node) <> s.Monitor.skew)
 
 let test_ring_bounds_samples () =
   let net = build ~seed:3 12 in
@@ -182,6 +197,16 @@ let test_json_shape_and_determinism () =
       "\"samples\""; "\"events\""; "\"load\""; "\"summary\""; "\"ticks\":5";
       "\"final\":\"ok\""; "\"overall\""; "\"skew\""; "\"stale_rate\"";
     ];
+  (* Per-peer load is each sample's [skew] (and the [load] component's
+     level); the report carries no second load series. *)
+  (match Json.parse doc with
+  | Ok report ->
+    Alcotest.(check (list string)) "report sections"
+      [ "events"; "samples"; "summary" ]
+      (match report with
+      | Json.Obj fields -> List.sort String.compare (List.map fst fields)
+      | _ -> [])
+  | Error msg -> Alcotest.fail msg);
   Alcotest.(check string) "byte-identical across same-seed monitors" doc
     (health_doc ~seed:3)
 

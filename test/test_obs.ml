@@ -7,7 +7,6 @@ module Metrics = Baton_sim.Metrics
 module Rng = Baton_util.Rng
 module Trace = Baton_obs.Trace
 module Heat = Baton_obs.Heat
-module Gauge = Baton_obs.Gauge
 module Json = Baton_obs.Json
 module N = Baton.Network
 module Net = Baton.Net
@@ -110,25 +109,6 @@ let test_trace_latest_after_wrap () =
   Alcotest.(check string) "newest op" "c" (Trace.analyze ep).Trace.a_op;
   Alcotest.(check bool) "last retained episode" true
     (ep == List.nth (Trace.episodes tr) 1)
-
-let test_gauge_percentiles () =
-  let g = Gauge.create ~capacity:2 () in
-  Gauge.sample g ~time:1. (Array.init 100 (fun i -> i + 1));
-  Gauge.sample g ~time:2. [| 5; 5 |];
-  Gauge.sample g ~time:3. [| 7 |];
-  Alcotest.(check int) "samples seen" 3 (Gauge.count g);
-  Alcotest.(check int) "ring bounded" 2 (List.length (Gauge.samples g));
-  let s = Option.get (Gauge.latest g) in
-  Alcotest.(check int) "latest max" 7 s.Gauge.max;
-  Alcotest.(check bool) "latest time" true (s.Gauge.time = 3.);
-  Alcotest.(check string) "sample json"
-    "{\"max\":7,\"mean\":7.0,\"nodes\":1,\"p50\":7,\"p95\":7,\"p99\":7,\"t\":3.0,\"total\":7}"
-    (Json.to_string (Gauge.sample_json s));
-  match Gauge.samples g with
-  | [ s2; _ ] ->
-    Alcotest.(check int) "older sample total" 10 s2.Gauge.total;
-    Alcotest.(check int) "older sample p50" 5 s2.Gauge.p50
-  | _ -> Alcotest.fail "expected two samples"
 
 (* The `experiments --tiny --telemetry` tail columns of fig 8(d)/(e),
    pinned: a per-op hop is [msgs - retries] on the query's own
@@ -234,7 +214,6 @@ let suite =
     Alcotest.test_case "jsonl deterministic" `Quick test_jsonl_deterministic;
     Alcotest.test_case "metrics unperturbed" `Quick test_trace_does_not_perturb_metrics;
     Alcotest.test_case "trace latest after wrap" `Quick test_trace_latest_after_wrap;
-    Alcotest.test_case "gauge percentiles" `Quick test_gauge_percentiles;
     Alcotest.test_case "telemetry tails pinned" `Quick test_telemetry_tails_pinned;
     Alcotest.test_case "save keeps hooks attached" `Quick test_save_keeps_hooks;
     Alcotest.test_case "failed save restores observers" `Quick
