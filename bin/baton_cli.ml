@@ -1,9 +1,18 @@
 (* baton — command-line driver for the BATON simulator.
 
    Subcommands:
-     simulate   build a network, load data, run queries, report costs
-     churn      run a join/leave/failure schedule and verify recovery
-     inspect    build a network and print its structure summary *)
+     inspect      build (or load) a network and print its structure
+     trace        trace one query hop by hop, or as a causal tree
+     stats        per-kind hop and message digests of a mixed workload
+     compare      build, bulk-load and churn cost on every overlay
+     bench-run    the concurrent workload driver's report document
+     bench-cache  the route-cache sweep's report document
+     bench-scale  the population sweep's report document
+     bench-diff   the regression gate between two report documents
+     heat         render a report's demand sections
+
+   The three report writers hold their document to the report contract
+   ({!Baton_runtime.Report_check}) after writing it. *)
 
 module N = Baton.Network
 module Net = Baton.Net
@@ -12,9 +21,9 @@ module Metrics = Baton_sim.Metrics
 module Rng = Baton_util.Rng
 module Stats = Baton_util.Stats
 module Datagen = Baton_workload.Datagen
-module Churn = Baton_workload.Churn
 module Driver = Baton_runtime.Driver
 module Bench_diff = Baton_runtime.Bench_diff
+module Report_check = Baton_runtime.Report_check
 
 open Cmdliner
 
@@ -32,15 +41,6 @@ let keys_arg =
 let queries_arg =
   Arg.(value & opt int 1000 & info [ "q"; "queries" ] ~docv:"Q" ~doc:"Queries to run.")
 
-let zipf_arg =
-  Arg.(value & flag & info [ "zipf" ] ~doc:"Use Zipf(1.0) keys instead of uniform.")
-
-let capacity_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "balance-capacity" ] ~docv:"C"
-        ~doc:"Enable load balancing with this per-node capacity.")
-
 (* Range-query span of the demo workloads: five peers' worth of the key
    domain, clamped to the domain so networks under five peers still draw
    a valid range. *)
@@ -48,113 +48,37 @@ let range_span nodes =
   let width = Datagen.domain_hi - Datagen.domain_lo in
   min width (width / max 1 nodes * 5)
 
-let print_kind_breakdown metrics =
-  Printf.printf "\nMessage breakdown by kind:\n";
-  List.iter
-    (fun (kind, count) -> Printf.printf "  %-16s %10d\n" kind count)
-    (Metrics.kinds metrics)
+(* Run [f], which builds something from the command line's values; a
+   value it rejects with [Invalid_argument] is printed and exits 2. *)
+let or_reject f =
+  match f () with
+  | v -> v
+  | exception Invalid_argument msg ->
+    prerr_endline msg;
+    exit 2
 
-let load_summary net =
-  let loads =
-    List.map (fun n -> float_of_int (Node.load n)) (Net.peers net) |> Array.of_list
-  in
-  Printf.printf "Load per node: %s\n" (Stats.summary loads)
+let build ~seed nodes = or_reject (fun () -> N.build ~seed nodes)
 
-let simulate nodes seed keys_per_node queries zipf capacity =
-  Printf.printf "Building a %d-peer BATON network (seed %d)...\n%!" nodes seed;
-  let net = N.build ~seed nodes in
-  let metrics = Net.metrics net in
-  let build_msgs = Metrics.total metrics in
-  Printf.printf "  height %d (1.44 log2 N = %.1f), %d messages to build\n%!"
-    (N.height net)
-    (1.44 *. (log (float_of_int nodes) /. log 2.))
-    build_msgs;
-  let rng = Rng.create (seed + 1) in
-  let gen = if zipf then Datagen.zipf rng else Datagen.uniform rng in
-  let cfg = Option.map (fun c -> Baton.Balance.default_config ~capacity:c) capacity in
-  let total_keys = keys_per_node * nodes in
-  Printf.printf "Inserting %d %s keys%s...\n%!" total_keys
-    (if zipf then "Zipf(1.0)" else "uniform")
-    (match capacity with
-    | Some c -> Printf.sprintf " with balancing (capacity %d)" c
-    | None -> "");
-  let keys = Array.init total_keys (fun _ -> Datagen.next gen) in
-  let insert_cp = Metrics.checkpoint metrics in
-  Array.iter
-    (fun k ->
-      let st = Baton.Update.insert net ~from:(Net.random_peer net) k in
-      match cfg with
-      | Some cfg ->
-        ignore (Baton.Balance.maybe_balance net cfg (Net.peer net st.Baton.Update.node))
-      | None -> ())
-    keys;
-  Printf.printf "  %.2f messages per insertion\n%!"
-    (float_of_int (Metrics.since metrics insert_cp) /. float_of_int total_keys);
-  load_summary net;
-  let qrng = Rng.create (seed + 2) in
-  let exact_hops =
-    Array.init queries (fun _ ->
-        let k = Rng.pick qrng keys in
-        let r = Baton.Search.lookup net ~from:(Net.random_peer net) k in
-        assert r.Baton.Search.found;
-        float_of_int r.Baton.Search.hops)
+(* Write a report document to [out] (stdout without one), then hold it
+   to the report contract. The document is written first so that it
+   survives for debugging; a breach exits 1 with one line per broken
+   rule. *)
+let emit ~cmd out doc =
+  let text = Baton_obs.Json.to_pretty_string doc ^ "\n" in
+  (match out with
+  | None -> print_string text
+  | Some path ->
+    Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text);
+    Printf.eprintf "wrote %s\n" path);
+  let breaches =
+    match Baton_obs.Json.parse text with
+    | Ok doc -> Report_check.check doc
+    | Error msg -> [ "document: does not parse: " ^ msg ]
   in
-  Printf.printf "Exact queries:  %s\n" (Stats.summary exact_hops);
-  let span = range_span nodes in
-  let range_hops =
-    Array.init queries (fun _ ->
-        let lo = Rng.int_in_range qrng ~lo:Datagen.domain_lo ~hi:(Datagen.domain_hi - span) in
-        let r = Baton.Search.range net ~from:(Net.random_peer net) ~lo ~hi:(lo + span) in
-        float_of_int r.Baton.Search.hops)
-  in
-  Printf.printf "Range queries:  %s\n" (Stats.summary range_hops);
-  print_kind_breakdown metrics;
-  Baton.Check.all net;
-  Printf.printf "\nAll structural invariants hold.\n"
-
-let churn nodes seed rounds fail_percent =
-  Printf.printf "Building a %d-peer network (seed %d)...\n%!" nodes seed;
-  let net = N.build ~seed nodes in
-  let rng = Rng.create (seed + 3) in
-  let gen = Datagen.uniform (Rng.create (seed + 4)) in
-  let keys = Array.init (5 * nodes) (fun _ -> Datagen.next gen) in
-  Array.iter (N.insert net) keys;
-  let metrics = Net.metrics net in
-  let cp = Metrics.checkpoint metrics in
-  let fails = rounds * fail_percent / 100 in
-  let schedule =
-    Churn.schedule rng ~joins:(rounds - fails) ~leaves:(rounds - fails) ~fails:(2 * fails)
-  in
-  Array.iter
-    (fun event ->
-      match event with
-      | Churn.Join -> ignore (N.join net)
-      | Churn.Leave ->
-        if Net.size net > 2 then
-          let ids = Net.live_ids net in
-          N.leave net (Rng.pick rng ids)
-      | Churn.Fail ->
-        if Net.size net > 2 then begin
-          let ids = Net.live_ids net in
-          let victim = Rng.pick rng ids in
-          N.crash net victim;
-          N.repair net victim
-        end)
-    schedule;
-  Printf.printf "  %d churn events, %d messages (%.1f per event)\n"
-    (Array.length schedule)
-    (Metrics.since metrics cp)
-    (float_of_int (Metrics.since metrics cp) /. float_of_int (max 1 (Array.length schedule)));
-  Printf.printf "  final size %d, height %d\n" (Net.size net) (N.height net);
-  let survivors =
-    Array.to_list keys
-    |> List.filter (fun k -> N.lookup net k)
-    |> List.length
-  in
-  Printf.printf "  %d of %d keys survive (failures lose unreplicated data)\n"
-    survivors (Array.length keys);
-  Baton.Check.all net;
-  Printf.printf "All structural invariants hold after churn.\n"
+  if breaches <> [] then begin
+    List.iter (Printf.eprintf "baton %s: report contract: %s\n" cmd) breaches;
+    exit 1
+  end
 
 (* Load the snapshot at [path] for command [cmd], or exit 1 with one
    message saying how to get a readable one: [inspect --snapshot]
@@ -190,7 +114,7 @@ let inspect nodes seed show_tree snapshot =
       Printf.printf "(loaded snapshot %s)\n" path;
       net
     | _ ->
-      let net = N.build ~seed nodes in
+      let net = build ~seed nodes in
       (match snapshot with
       | Some path ->
         Net.save net path;
@@ -235,7 +159,7 @@ let inspect nodes seed show_tree snapshot =
 let trace_causal nodes seed json =
   let module Runtime = Baton_runtime.Runtime in
   let module Trace = Baton_obs.Trace in
-  let net = N.build ~seed nodes in
+  let net = build ~seed nodes in
   (* Data load is setup, not the traced operation. *)
   let gen = Datagen.uniform (Rng.create (seed + 1)) in
   let keys = Array.init (5 * nodes) (fun _ -> Datagen.next gen) in
@@ -280,7 +204,7 @@ let trace nodes seed key json causal =
   if causal then trace_causal nodes seed json
   else
   let module Trace = Baton_obs.Trace in
-  let net = N.build ~seed nodes in
+  let net = build ~seed nodes in
   (* The tracer is installed after the build, so exactly the query's
      hops are recorded. Everything downstream of the seed is
      deterministic, so two same-seed runs print identical bytes. *)
@@ -330,9 +254,14 @@ let hist_json h =
 let stats nodes seed keys_per_node queries churn_rounds snapshot =
   let module Trace = Baton_obs.Trace in
   let module Histogram = Baton_util.Histogram in
+  (* The workload draws its keys from [keys_per_node * nodes] loaded
+     ones, even on a snapshot. *)
+  or_reject (fun () ->
+      if nodes < 1 then invalid_arg "stats: n < 1";
+      if keys_per_node < 1 then invalid_arg "stats: keys_per_node < 1");
   let net =
     match snapshot with
-    | None -> N.build ~seed nodes
+    | None -> build ~seed nodes
     | Some path ->
       let net = load_snapshot ~cmd:"stats" path in
       Printf.eprintf "(loaded snapshot %s: %d peers)\n%!" path (Net.size net);
@@ -417,6 +346,10 @@ let stats nodes seed keys_per_node queries churn_rounds snapshot =
           [ ("ops", Json.List ops); ("load", hist_json load) ]))
 
 let compare_overlays nodes seed ops =
+  (* Costs are reported per operation. *)
+  or_reject (fun () ->
+      if nodes < 1 then invalid_arg "compare: n < 1";
+      if ops < 1 then invalid_arg "compare: ops < 1");
   let rng = Rng.create (seed + 9) in
   let keys = Array.init ops (fun _ -> Rng.int_in_range rng ~lo:1 ~hi:999_999_999) in
   Printf.printf "%-10s %10s %12s %12s %12s %12s %14s\n" "overlay" "build"
@@ -542,18 +475,13 @@ let bench_run nodes seed keys_per_node ops clients overlay_names mix_names
           List.map
             (fun mix ->
               let cfg =
-                match
-                  Driver.config ~overlay ~seed ~keys_per_node ~clients ~ops
-                    ~arrival ~route_cache
-                    ~monitor_every_ms:(if baton then monitor_every else 0.)
-                    ~series_every_ms:series_every ~profile
-                    ~heat:(baton && heat)
-                    ~fault_schedule ~oracle ~n:nodes ~mix ()
-                with
-                | cfg -> cfg
-                | exception Invalid_argument msg ->
-                  Printf.eprintf "%s\n" msg;
-                  exit 2
+                or_reject (fun () ->
+                    Driver.config ~overlay ~seed ~keys_per_node ~clients ~ops
+                      ~arrival ~route_cache
+                      ~monitor_every_ms:(if baton then monitor_every else 0.)
+                      ~series_every_ms:series_every ~profile
+                      ~heat:(baton && heat)
+                      ~fault_schedule ~oracle ~n:nodes ~mix ())
               in
               Printf.eprintf "running %s/%s (n=%d, %d ops)...\n%!" overlay
                 mix.Driver.mix_name nodes ops;
@@ -598,14 +526,7 @@ let bench_run nodes seed keys_per_node ops clients overlay_names mix_names
     Out_channel.with_open_text path (fun oc ->
         Out_channel.output_string oc (Driver.timeseries_jsonl sections));
     Printf.eprintf "wrote %s\n" path);
-  let doc =
-    Baton_obs.Json.to_pretty_string (Driver.bench_json sections) ^ "\n"
-  in
-  match out with
-  | None -> print_string doc
-  | Some path ->
-    Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc doc);
-    Printf.eprintf "wrote %s\n" path
+  emit ~cmd:"bench-run" out (Driver.bench_json sections)
 
 (* Render a bench-run report's demand sections — ASCII key-space
    heatmap, heavy-hitter table, per-class attribution — from the JSON
@@ -713,7 +634,8 @@ let bench_cache nodes seed keys_per_node ops span out =
     ops
     (List.length E.thetas + List.length E.churn_rates);
   let cells =
-    E.cells ~seed ~n:nodes ~keys_per_node ~ops ~range_span:span ()
+    or_reject (fun () ->
+        E.cells ~seed ~n:nodes ~keys_per_node ~ops ~range_span:span ())
   in
   List.iter
     (fun (c : E.cell) ->
@@ -723,16 +645,8 @@ let bench_cache nodes seed keys_per_node ops span out =
         c.E.theta c.E.churn_pct c.E.hit_rate c.E.reduction_pct c.E.stale
         c.E.wrong_answers c.E.partial)
     cells;
-  let doc =
-    Baton_obs.Json.to_pretty_string
-      (E.bench_json ~seed ~n:nodes ~keys_per_node ~ops ~range_span:span cells)
-    ^ "\n"
-  in
-  match out with
-  | None -> print_string doc
-  | Some path ->
-    Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc doc);
-    Printf.eprintf "wrote %s\n" path
+  emit ~cmd:"bench-cache" out
+    (E.bench_json ~seed ~n:nodes ~keys_per_node ~ops ~range_span:span cells)
 
 (* Scale sweep: the driver's canonical per-n configuration (read-heavy
    mix, domain widened with n, profiling on) at each requested
@@ -747,11 +661,10 @@ let bench_scale ns seed keys_per_node ops clients out =
   (* Validate every point up front, before the first (long) run. *)
   List.iter
     (fun n ->
-      match Driver.scale_config ~seed ~keys_per_node ~ops ~clients n with
-      | (_ : Driver.config) -> ()
-      | exception Invalid_argument msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 2)
+      ignore
+        (or_reject (fun () ->
+             Driver.scale_config ~seed ~keys_per_node ~ops ~clients n)
+          : Driver.config))
     ns;
   let t0 = Baton_obs.Profile.now_ms () in
   let reports =
@@ -763,14 +676,7 @@ let bench_scale ns seed keys_per_node ops clients out =
     (List.length ns) (List.hd ns)
     (List.nth ns (List.length ns - 1))
     ((Baton_obs.Profile.now_ms () -. t0) /. 1000.);
-  let doc =
-    Baton_obs.Json.to_pretty_string (Driver.scale_json reports) ^ "\n"
-  in
-  match out with
-  | None -> print_string doc
-  | Some path ->
-    Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc doc);
-    Printf.eprintf "wrote %s\n" path
+  emit ~cmd:"bench-scale" out (Driver.scale_json reports)
 
 let ops_arg =
   Arg.(value & opt int 500 & info [ "ops" ] ~docv:"K" ~doc:"Operations per phase.")
@@ -837,27 +743,6 @@ let stats_cmd =
     Term.(
       const stats $ nodes_arg $ seed_arg $ keys_arg $ queries_arg
       $ churn_rounds_arg $ stats_snapshot_arg)
-
-let simulate_cmd =
-  let doc = "Build a network, load data, answer queries, report message costs." in
-  Cmd.v
-    (Cmd.info "simulate" ~doc)
-    Term.(
-      const simulate $ nodes_arg $ seed_arg $ keys_arg $ queries_arg $ zipf_arg
-      $ capacity_arg)
-
-let rounds_arg =
-  Arg.(value & opt int 200 & info [ "rounds" ] ~docv:"R" ~doc:"Churn rounds.")
-
-let fail_arg =
-  Arg.(
-    value & opt int 10
-    & info [ "fail-percent" ] ~docv:"P" ~doc:"Percentage of rounds that are failures.")
-
-let churn_cmd =
-  let doc = "Run a churn schedule (joins, leaves, failures) and verify recovery." in
-  Cmd.v (Cmd.info "churn" ~doc)
-    Term.(const churn $ nodes_arg $ seed_arg $ rounds_arg $ fail_arg)
 
 let tree_arg =
   Arg.(value & flag & info [ "tree" ] ~doc:"Render the tree (depth-limited).")
@@ -1172,9 +1057,8 @@ let main =
   let doc = "BATON: balanced tree overlay simulator (VLDB 2005 reproduction)" in
   Cmd.group (Cmd.info "baton" ~doc)
     [
-      simulate_cmd; churn_cmd; inspect_cmd; trace_cmd; stats_cmd; compare_cmd;
-      bench_run_cmd; bench_cache_cmd; bench_scale_cmd; bench_diff_cmd;
-      heat_cmd;
+      inspect_cmd; trace_cmd; stats_cmd; compare_cmd; bench_run_cmd;
+      bench_cache_cmd; bench_scale_cmd; bench_diff_cmd; heat_cmd;
     ]
 
 let () = exit (Cmd.eval main)

@@ -48,7 +48,6 @@ type leave_stats = {
 val leave : t -> int -> leave_stats
 (** Gracefully remove the peer with the given id. *)
 
-val random_peer_id : t -> int
 val peer_ids : t -> int array
 
 val insert : t -> int -> int

@@ -105,6 +105,10 @@ let accept net ~acceptor:(x : Node.t) new_id =
     | Some _, Some _ -> invalid_arg "Join.accept: acceptor has both children"
   in
   let ypos = Position.child x.Node.pos side in
+  (* A child link dropped while routing around a failure can hide an
+     occupied child position: refuse before splitting anything. *)
+  if Option.is_some (Net.peer_at net ypos) then
+    invalid_arg "Join.accept: position occupied";
   let m = split_point x in
   let low, high = Range.split_at x.Node.range m in
   let yrange, xrange = match side with `Left -> (low, high) | `Right -> (high, low) in
@@ -201,6 +205,10 @@ let accept net ~acceptor:(x : Node.t) new_id =
 let join net ~via =
   Net.with_op net ~kind:Msg.op_join (fun () ->
       let acceptor, search_msgs = find_join_node net ~via in
+      (* The acceptor may have crashed while the last search hop was in
+         flight; splitting its store would revive keys lost with it. *)
+      if Baton_sim.Bus.is_failed (Net.bus net) acceptor.Node.id then
+        raise (Baton_sim.Bus.Unreachable acceptor.Node.id);
       let new_id = Net.fresh_id net in
       let y, update_msgs = accept net ~acceptor new_id in
       {

@@ -7,6 +7,14 @@ type stats = {
   update_msgs : int;
 }
 
+(* A handover moves keys only after its message wait, and a crash during
+   the wait took the crashed side's keys with it: moving them then would
+   bring lost keys back, or drop live ones into a dead store. So the
+   departure fails with nothing moved. *)
+let require_live net (n : Node.t) =
+  if Baton_sim.Bus.is_failed (Net.bus net) n.Node.id then
+    raise (Baton_sim.Bus.Unreachable n.Node.id)
+
 let can_depart_directly (x : Node.t) =
   Node.is_leaf x
   && List.for_all
@@ -46,8 +54,15 @@ let direct_departure net (x : Node.t) ~kind =
         | exception Not_found ->
           detour ())
     in
+    require_live net x;
+    require_live net p;
+    (* Merge before moving anything: ranges that do not touch (a tree
+       torn by a crash mid-leave) must fail the leave with [p]
+       untouched, not after [x]'s keys have landed outside [p]'s
+       range. *)
+    let merged = Range.merge p.Node.range x.Node.range in
     Sorted_store.absorb p.Node.store x.Node.store;
-    Node.set_range p (Range.merge p.Node.range x.Node.range);
+    Node.set_range p merged;
     let side = if Position.is_left_child x.Node.pos then `Left else `Right in
     Node.set_child p side None;
     (* Splice adjacency: the parent inherits x's outer adjacent. *)
@@ -140,6 +155,7 @@ let assume_position net ~leaver:(x : Node.t) ~replacement:(y : Node.t) ~kind =
      (the coordinator would keep retrying off-protocol). *)
   (try Net.send_raw net ~src:x.Node.id ~dst:y.Node.id ~kind
    with Baton_sim.Bus.Timeout _ -> ());
+  require_live net x;
   Sorted_store.absorb y.Node.store x.Node.store;
   Net.unregister net x;
   y.Node.pos <- x.Node.pos;

@@ -25,17 +25,13 @@ val level_label : level -> string
 val level_rank : level -> int
 (** [Ok] = 0, [Degraded] = 1, [Violated] = 2. *)
 
-(** {1 Components} *)
+(** {1 Components}
 
-val c_balance : string
-(** {!Check.balanced} + {!Check.height_bound}. *)
-
-val c_tiling : string
-(** {!Check.tree_shape} + {!Check.ranges}. *)
-
-val c_links : string
-(** {!Check.links} in non-strict mode (stale cached ranges are normal
-    operation; wrong identities are damage). *)
+    Besides the ones below, each sample rates three structural
+    components: ["balance"] ({!Check.balanced} + {!Check.height_bound}),
+    ["tiling"] ({!Check.tree_shape} + {!Check.ranges}) and ["links"]
+    ({!Check.links} in non-strict mode: stale cached ranges are normal
+    operation, wrong identities are damage). *)
 
 val c_load : string
 (** Per-node message-load skew (max/mean) over the registered peers'
@@ -55,9 +51,6 @@ val c_hotspot : string
 
 val c_overall : string
 (** Worst of all components — the single stream to alert on. *)
-
-val components : string list
-(** All component names except {!c_overall}, in sample order. *)
 
 type thresholds = {
   max_skew : float;
@@ -126,7 +119,6 @@ val current : t -> string -> level
     @raise Invalid_argument for unknown names. *)
 
 val sample_json : sample -> Baton_obs.Json.t
-val event_json : event -> Baton_obs.Json.t
 
 val json : t -> Baton_obs.Json.t
 (** Full health report: samples, events and a summary (tick/transition

@@ -320,10 +320,6 @@ let with_op t ~kind f =
 
 let event t name = Metrics.event (Bus.metrics t.st.bus) name
 
-let set_retry_limit t n =
-  if n < 0 then invalid_arg "Net.set_retry_limit: negative";
-  t.st.retry_limit <- n
-
 let retry_limit t = t.st.retry_limit
 
 let set_repair_serializer t s = t.hooks.repair_serializer <- s

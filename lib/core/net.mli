@@ -140,10 +140,6 @@ val tracer : t -> Baton_obs.Trace.t option
 val set_heat : t -> Baton_obs.Heat.t option -> unit
 val heat : t -> Baton_obs.Heat.t option
 
-val heat_class : string -> Baton_obs.Heat.cls
-(** Default heat class of a message kind (the class {!send} attributes
-    a delivered message of that kind to, before any promotion). *)
-
 val heat_serve : t -> peer:int -> kind:string -> unit
 (** Promote one already-attributed hop of [kind]'s default class at
     [peer] to [Serve] — called by {!Search}/{!Update} where "this peer
@@ -157,11 +153,6 @@ val heat_access : t -> peer:int -> int -> unit
 val heat_access_range : t -> peer:int -> lo:int -> hi:int -> unit
 (** Record one range access (see {!Baton_obs.Heat.access_range}); a
     no-op without an instrument. *)
-
-val link_kind : t -> src:int -> dst:int -> kind:string -> string
-(** Classify which overlay link a hop travels
-    ({!Msg.link_parent} … {!Msg.link_other}), from the sender's links
-    as they currently stand. Exposed for the CLI's trace renderer. *)
 
 val event : t -> string -> unit
 (** Count one named simulator event ({!Msg.ev_retry} …) in {!metrics}. *)
@@ -177,10 +168,6 @@ val set_repair_serializer : t -> ((unit -> unit) -> unit) option -> unit
 val serialize_repair : t -> (unit -> unit) -> unit
 (** Run a repair inside the installed critical section (inline when
     none is installed). Used by {!Failure}. *)
-
-val set_retry_limit : t -> int -> unit
-(** Retransmissions allowed per logical send (default 3). [0] disables
-    retries. @raise Invalid_argument on negative values. *)
 
 val retry_limit : t -> int
 

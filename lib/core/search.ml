@@ -47,6 +47,11 @@ let candidates (node : Node.t) v =
   in
   sideways @ structural
 
+(* [node] left the network, handing its keys on, while an operation
+   waited at it (a hop, a timeout, a link rebuild, a cache probe). *)
+let departed net (node : Node.t) =
+  match Net.peer_opt net node.Node.id with Some n -> n != node | None -> true
+
 let exact_walk net ~kind ~from v =
   let budget = hop_budget net in
   (* [tried] are the peers that timed out from the current node on this
@@ -83,7 +88,7 @@ let exact_walk net ~kind ~from v =
              route on. *)
           List.iter (Node.drop_links_for_peer node) tried;
           Wiring.rebuild_links ~skip_failed:true net node ~kind;
-          loop node (hops + 1) ~tried:[] ~arrived
+          resume node (hops + 1) ~tried:[] ~arrived
         | target :: _ -> (
         match Net.send net ~src:node.Node.id ~dst:target.Link.peer ~kind with
         | next -> loop next (hops + 1) ~tried:[] ~arrived:true
@@ -94,19 +99,25 @@ let exact_walk net ~kind ~from v =
           Failure.observe_unreachable net ~observer:node dead;
           Node.drop_links_for_peer node dead;
           Wiring.rebuild_links ~skip_failed:true net node ~kind;
-          loop node (hops + 1) ~tried:[] ~arrived
+          resume node (hops + 1) ~tried:[] ~arrived
         | exception Bus.Timeout silent ->
           (* The peer may be alive behind a lossy link: keep the link,
              file a suspicion, and try the next-best candidate. *)
           Failure.observe_timeout net ~observer:node silent;
-          loop node (hops + 1) ~tried:(silent :: tried) ~arrived
+          resume node (hops + 1) ~tried:(silent :: tried) ~arrived
         | exception Not_found ->
           (* The target peer left the network and the link is stale. *)
           Node.drop_links_for_peer node target.Link.peer;
           Wiring.rebuild_links ~skip_failed:true net node ~kind;
-          loop node (hops + 1) ~tried:[] ~arrived))
+          resume node (hops + 1) ~tried:[] ~arrived))
+  (* The walk waited at [node] (a failed hop, a link rebuild, or the
+     cache probe before it started) and [node] may have left meanwhile:
+     its stale range must not answer for [v]. *)
+  and resume node hops ~tried ~arrived =
+    if departed net node then raise (Routing_stuck hops)
+    else loop node hops ~tried ~arrived
   in
-  loop from 0 ~tried:[] ~arrived:false
+  resume from 0 ~tried:[] ~arrived:false
 
 (* --- Adaptive route cache ------------------------------------------ *)
 
@@ -273,7 +284,7 @@ type par = (unit -> sweep_outcome) -> (unit -> sweep_outcome) -> sweep_outcome *
    carries on — recording the skipped peer's cached range as a *hole*
    when it intersected the query, so callers learn not just that the
    answer is partial but exactly which sub-interval is missing. *)
-let sweep net (node : Node.t) side ~lo ~hi =
+let sweep net (node : Node.t) ~seen side ~lo ~hi =
   let keys = ref [] and visited = ref 0 and msgs = ref 0 in
   (* Unreachable sub-intervals, half-open and clipped to the query;
      overlap-merged by the caller. *)
@@ -287,13 +298,44 @@ let sweep net (node : Node.t) side ~lo ~hi =
     | `Right -> Range.is_left_of n.Node.range hi
     | `Left -> lo < n.Node.range.Range.lo
   in
-  (* Everything this direction still owes beyond [n]'s own range. *)
-  let rest_of_query (n : Node.t) =
+  (* Everything this direction still owes beyond range [r]. *)
+  let rest_of_query (r : Range.t) =
     match side with
-    | `Right -> add_hole n.Node.range.Range.hi (hi + 1)
-    | `Left -> add_hole lo n.Node.range.Range.lo
+    | `Right -> add_hole r.Range.hi (hi + 1)
+    | `Left -> add_hole lo r.Range.lo
   in
-  let rec go (n : Node.t) bridges =
+  (* [seen] is [n]'s range when its keys were read. While the sweep
+     waits (for a hop, a link rebuild, or the other sweep), membership
+     changes can move [n]'s range: a departing neighbour hands its keys
+     to [n], a joining one takes part of them. Read what [n] gained
+     ahead of [seen] (what it gained behind was read already), mark
+     what it lost between [seen] and its range now as a hole, and
+     return what the sweep has now read. If [n] itself departed, its
+     keys went to a successor this sweep cannot name, and [seen] is all
+     it has read. *)
+  let read_gains (n : Node.t) (seen : Range.t) =
+    let r = n.Node.range in
+    if r == seen || departed net n then seen
+    else begin
+      let ahead k =
+        match side with
+        | `Right -> k >= seen.Range.hi
+        | `Left -> k < seen.Range.lo
+      in
+      (match List.filter ahead (Sorted_store.keys_in n.Node.store ~lo ~hi) with
+      | [] -> ()
+      | gained -> keys := gained :: !keys);
+      (match side with
+      | `Right -> add_hole seen.Range.hi r.Range.lo
+      | `Left -> add_hole r.Range.hi seen.Range.lo);
+      r
+    end
+  in
+  let rec go (n : Node.t) ~seen bridges =
+    (* A departed [n]: what lies beyond [seen] is a hole. *)
+    if departed net n then rest_of_query seen
+    else step n ~seen:(read_gains n seen) bridges
+  and step (n : Node.t) ~seen bridges =
     if continue n then
       match Node.adjacent n side with
       | None ->
@@ -301,7 +343,7 @@ let sweep net (node : Node.t) side ~lo ~hi =
            severed adjacency that no rebuild restored. The silent
            truncation used to claim completeness; the remainder is a
            hole. *)
-        rest_of_query n
+        rest_of_query n.Node.range
       | Some next -> (
         let lost_data () =
           if Range.intersects next.Link.range ~lo ~hi then
@@ -313,18 +355,19 @@ let sweep net (node : Node.t) side ~lo ~hi =
           if bridges < 2 then begin
             Wiring.rebuild_links ~skip_failed:true net n
               ~kind:Msg.search_range;
-            go n (bridges + 1)
+            go n ~seen (bridges + 1)
           end
           else
             (* Give up bridging from here: whatever lies beyond is
                unreachable in this direction. *)
-            rest_of_query n
+            rest_of_query n.Node.range
         in
         match
           Net.send net ~src:n.Node.id ~dst:next.Link.peer
             ~kind:Msg.search_range
         with
         | next_node ->
+          let read = read_gains n seen in
           incr msgs;
           incr visited;
           (* Each sweep hop serves its slice of the range: promote the
@@ -337,12 +380,12 @@ let sweep net (node : Node.t) side ~lo ~hi =
              though no send failed here. *)
           let gap_lo, gap_hi =
             match side with
-            | `Right -> (n.Node.range.Range.hi, next_node.Node.range.Range.lo)
-            | `Left -> (next_node.Node.range.Range.hi, n.Node.range.Range.lo)
+            | `Right -> (read.Range.hi, next_node.Node.range.Range.lo)
+            | `Left -> (next_node.Node.range.Range.hi, read.Range.lo)
           in
           if gap_lo < gap_hi then add_hole gap_lo gap_hi;
           keys := Sorted_store.keys_in next_node.Node.store ~lo ~hi :: !keys;
-          go next_node 0
+          step next_node ~seen:next_node.Node.range 0
         | exception Bus.Unreachable dead ->
           (* The peer is gone and its data with it. *)
           Failure.observe_unreachable net ~observer:n dead;
@@ -354,10 +397,10 @@ let sweep net (node : Node.t) side ~lo ~hi =
           bridge ~data_lost:true
         | exception Not_found ->
           (* Departed gracefully: its data moved to a survivor still on
-             the chain, nothing is lost. *)
+             the chain (perhaps [n] itself), nothing is lost. *)
           bridge ~data_lost:false)
   in
-  go node 0;
+  go node ~seen 0;
   (!keys, !visited, !msgs, !holes)
 
 let range_walk ?par net ~from ~lo ~hi =
@@ -386,11 +429,12 @@ let range_walk ?par net ~from ~lo ~hi =
         (node, hops + h1 + h2, cached))
   in
   let here = Sorted_store.keys_in node.Node.store ~lo ~hi in
+  let seen = node.Node.range in
   (* One access per range operation, recorded at the first serving
      node; the histogram heats every overlapped bucket. *)
   Net.heat_access_range net ~peer:node.Node.id ~lo ~hi;
-  let sweep_left () = sweep net node `Left ~lo ~hi in
-  let sweep_right () = sweep net node `Right ~lo ~hi in
+  let sweep_left () = sweep net node ~seen `Left ~lo ~hi in
+  let sweep_right () = sweep net node ~seen `Right ~lo ~hi in
   let ( (left_keys, left_visited, left_msgs, left_holes),
         (right_keys, right_visited, right_msgs, right_holes) ) =
     match par with

@@ -7,6 +7,10 @@ let rec insert net ~from key =
 
 and insert_run net ~from key =
   let { Search.node; hops; _ } = Search.exact ~kind:Msg.insert net ~from key in
+  (* The owner can crash while the walk's last hop is in flight: a key
+     stored into its dead store would vanish behind a success. *)
+  if Baton_sim.Bus.is_failed (Net.bus net) node.Node.id then
+    raise (Search.Routing_stuck hops);
   let expanded =
     if Range.contains node.Node.range key then false
     else begin

@@ -5,6 +5,7 @@
    is never allowed to change an answer, only its cost. *)
 
 module Rng = Baton_util.Rng
+module Zipf = Baton_util.Zipf
 module Metrics = Baton_sim.Metrics
 module Datagen = Baton_workload.Datagen
 module Net = Baton.Net
@@ -33,32 +34,14 @@ type cell = {
   partial : int;
 }
 
-(* Zipf(theta) rank sampler over the loaded keys: rank 1 is the hottest
-   key. The CDF is precomputed so sampling is a binary search. *)
-let zipf_picker rng ~theta keys =
-  let n = Array.length keys in
-  let cdf = Array.make n 0. in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    acc := !acc +. (1. /. (float_of_int (i + 1) ** theta));
-    cdf.(i) <- !acc
-  done;
-  let total = !acc in
-  fun () ->
-    let u = Rng.float rng total in
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if cdf.(mid) < u then lo := mid + 1 else hi := mid
-    done;
-    keys.(!lo)
-
 (* One deterministic operation schedule per cell, shared verbatim by
    the baseline and the cached run: 80% exact lookups on Zipf-ranked
    keys, 10% ranges anchored at a hot key, 10% fresh inserts. *)
 let gen_schedule ~seed ~theta ~ops ~keys ~range_span =
   let rng = Rng.create (seed + 223) in
-  let pick = zipf_picker rng ~theta keys in
+  (* Rank 1 is the hottest key. *)
+  let zipf = Zipf.create ~n:(Array.length keys) ~theta in
+  let pick () = keys.(Zipf.sample zipf rng - 1) in
   let fresh = Datagen.uniform (Rng.create (seed + 229)) in
   Array.init ops (fun _ ->
       let d = Rng.int rng 100 in
@@ -198,6 +181,10 @@ let churn_rates = [ 0; 5; 10 ]
 let default_capacity = 192
 
 let cells ~seed ~n ~keys_per_node ~ops ~range_span () =
+  if n < 1 then invalid_arg "Exp_cache.cells: n < 1";
+  if keys_per_node < 1 then invalid_arg "Exp_cache.cells: keys_per_node < 1";
+  if ops < 1 then invalid_arg "Exp_cache.cells: ops < 1";
+  if range_span < 0 then invalid_arg "Exp_cache.cells: range_span < 0";
   let cell = run_cell ~seed ~n ~keys_per_node ~ops ~capacity:default_capacity ~range_span in
   List.map (fun theta -> cell ~theta ~churn_pct:0) thetas
   @ List.map (fun churn_pct -> cell ~theta:0.9 ~churn_pct) churn_rates
@@ -245,7 +232,7 @@ let bench_json ~seed ~n ~keys_per_node ~ops ~range_span cells =
   let module J = Baton_obs.Json in
   J.Obj
     [
-      ("schema", J.String "baton-bench-cache-v1");
+      ("schema", J.String Baton_runtime.Report_check.cache_schema);
       ("seed", J.Int seed);
       ("n", J.Int n);
       ("keys_per_node", J.Int keys_per_node);

@@ -41,7 +41,9 @@ val cells :
   range_span:int ->
   unit ->
   cell list
-(** The full grid: theta sweep then churn sweep, in declared order. *)
+(** The full grid: theta sweep then churn sweep, in declared order.
+    @raise Invalid_argument on [n], [keys_per_node] or [ops] below 1, or
+    a negative [range_span]. *)
 
 val run : Params.t -> Table.t
 (** Render the grid as an experiment table. *)
@@ -54,5 +56,5 @@ val bench_json :
   range_span:int ->
   cell list ->
   Baton_obs.Json.t
-(** The ["baton-bench-cache-v1"] document: deterministic field order,
-    byte-identical for the same seed. *)
+(** The {!Baton_runtime.Report_check.cache_schema} document:
+    deterministic field order, byte-identical for the same seed. *)

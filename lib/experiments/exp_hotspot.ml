@@ -5,7 +5,7 @@ module Heat = Baton_obs.Heat
 
 (* Demand attribution under Zipf query sweeps: the measured "what skew
    looks like before we act" baseline for replica-aware routing and
-   hotspot shedding (ROADMAP item 2). A heat instrument on the network
+   hotspot shedding. A heat instrument on the network
    attributes every delivered message (serve vs. route) and sketches
    the heavy hitters; each row is one theta of the sweep over a fresh
    instrument, so the table shows how concentration grows with skew

@@ -12,5 +12,5 @@ val demand : Params.t -> Table.t
 (** Demand attribution under Zipf query sweeps: per-theta top-k
     guaranteed share, hottest key, the serve/route split of every
     delivered message, and the decayed per-peer demand skew — the
-    measured baseline for ROADMAP item 2 (replica-aware routing and
-    hotspot shedding) to beat. *)
+    measured baseline for replica-aware routing and hotspot shedding to
+    beat. *)

@@ -1,6 +1,6 @@
 (** Overlay matrix: every registered overlay against the same workload.
 
-    The comparative-laboratory experiment (ROADMAP item 4): BATON,
+    The comparative-laboratory experiment: BATON,
     Chord, the multiway tree and the Skip Graph answer identical seeded
     workloads behind {!P2p_overlay.Overlay.S}, with messages counted by
     the same {!Baton_sim.Metrics} — so the panels compare routing

@@ -11,6 +11,5 @@
     byte-identical table. *)
 
 val losses : int list
-val fail_fractions : int list
 
 val run : Params.t -> Table.t

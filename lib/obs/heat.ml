@@ -193,12 +193,6 @@ end
 
 type cls = Serve | Route | Maint | Aux
 
-let cls_label = function
-  | Serve -> "serve"
-  | Route -> "route"
-  | Maint -> "maint"
-  | Aux -> "aux"
-
 type t = {
   lo : int;
   hi : int;

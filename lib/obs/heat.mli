@@ -102,9 +102,6 @@ type cls = Serve | Route | Maint | Aux
         maintenance ([Maint]), or it was route-cache traffic ([Aux] —
         the same traffic [Metrics] books under [aux_total]). *)
 
-val cls_label : cls -> string
-(** ["serve"] / ["route"] / ["maint"] / ["aux"]. *)
-
 type t
 
 val create :
@@ -190,7 +187,3 @@ val render : Json.t -> (string, string) result
     embedded in a bench report) as text: attribution summary, ASCII
     key-space heatmap, and the top-k table. [Error] describes the first
     missing/malformed field — the CLI turns it into a nonzero exit. *)
-
-val render_heatmap : Json.t -> (string, string) result
-val render_topk : Json.t -> (string, string) result
-val render_classes : Json.t -> (string, string) result

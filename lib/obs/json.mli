@@ -16,9 +16,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val sorted_fields : (string * t) list -> (string * t) list
-(** Object fields in emission order: stably sorted by key. *)
-
 val float_repr : float -> string
 (** The writer's float format: integral values as ["%.1f"], everything
     else as ["%.12g"]. *)

@@ -33,8 +33,6 @@ type ctx = {
 
 type outcome = Delivered | Timed_out | Unreachable
 
-val outcome_label : outcome -> string
-
 type hop = {
   ctx : ctx;
   src : int;
@@ -142,7 +140,6 @@ val analyze : ?top:int -> episode -> analysis
 (** Reconstruct the causal tree and extract the critical path. [top]
     (default 3) bounds [chains]. *)
 
-val hop_json : hop -> Json.t
 val analysis_json : analysis -> Json.t
 
 val episode_jsonl : episode -> string

@@ -27,15 +27,10 @@ type verdict =
       (** simulated sections identical but at least one run's
           [profile.events_per_s] fell below the allowed floor *)
 
-val strip_profile : Baton_obs.Json.t -> Baton_obs.Json.t
-(** Remove every ["profile"] field, recursively — the document minus
-    its non-deterministic subtrees. *)
-
-val diff_paths :
-  ?limit:int -> Baton_obs.Json.t -> Baton_obs.Json.t -> string list * int
-(** Leaf-level structural differences between two trees as
-    [$.path: old vs new] lines (at most [limit], default 20), plus the
-    total count found. [([], 0)] iff the trees are equal. *)
+val labeled_runs : Baton_obs.Json.t -> (string * Baton_obs.Json.t) list
+(** Every run of a document with its label: ["overlay/mix"] from the
+    v6+ per-overlay sections, else the mix of each run in a top-level
+    ["runs"] list (["run <i>"] when it has none). *)
 
 val compare :
   max_regress_pct:float ->
@@ -43,9 +38,10 @@ val compare :
   new_doc:Baton_obs.Json.t ->
   verdict
 (** Gate [new_doc] against the baseline [old_doc]. Checks, in order:
-    matching ["schema"] fields; byte-exact simulated sections (after
-    {!strip_profile}); then, for each run pair where both sides carry a
-    profile, [new events_per_s >= old * (1 - max_regress_pct / 100)].
+    matching ["schema"] fields; byte-exact simulated sections (every
+    ["profile"] subtree removed); then, for each run pair where both
+    sides carry a profile,
+    [new events_per_s >= old * (1 - max_regress_pct / 100)].
     Runs are gathered from the v6 per-overlay sections (labeled
     ["overlay/mix"] in every detail line), falling back to a v5-style
     top-level run list (labeled by mix) so two pre-v6 baselines still

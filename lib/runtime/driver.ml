@@ -806,21 +806,10 @@ let report_json r =
     | Json.Null -> []
     | load -> [ ("load", load) ]))
 
-(* v8: the [health] section drops its [load] array (percentile
-   snapshots of the per-peer message counts); each health sample's
-   [skew] is the one per-peer load reading. Every other field is
-   byte-identical to its v7 value. v7 added the optional run-level
-   [load] section (heat attribution, heavy hitters, key-space heatmap,
-   decayed skew), the series' [heat_skew] and the health samples'
-   [hot_share]/[hotspot] readings. *)
-let schema_version = "baton-bench-runtime-v8"
-
-let scale_schema_version = "baton-bench-scale-v1"
-
 let scale_json reports =
   Json.Obj
     [
-      ("schema", Json.String scale_schema_version);
+      ("schema", Json.String Report_check.scale_schema);
       ("runs", Json.List (List.map report_json reports));
     ]
 
@@ -830,7 +819,7 @@ let scale_json reports =
 let bench_json sections =
   Json.Obj
     [
-      ("schema", Json.String schema_version);
+      ("schema", Json.String Report_check.runtime_schema);
       ( "overlays",
         Json.List
           (List.map

@@ -36,7 +36,6 @@ type mix = {
 }
 
 val read_heavy : mix
-val range_heavy : mix
 val churn_heavy : mix
 
 val adversarial : mix
@@ -247,13 +246,10 @@ val run_scale :
     sections carry the per-n events/s the scale gate compares.
     @raise Invalid_argument on an empty list. *)
 
-val scale_schema_version : string
-(** Value of the ["schema"] field of {!scale_json}:
-    ["baton-bench-scale-v1"]. *)
-
 val scale_json : report list -> Baton_obs.Json.t
-(** The BENCH_scale.json document: [{schema; runs: [...]}], one run
-    object per swept n, labeled by its ["n=<n>"] mix name. The flat
+(** The BENCH_scale.json document ({!Report_check.scale_schema}):
+    [{schema; runs: [...]}], one run object per swept n, labeled by its
+    ["n=<n>"] mix name. The flat
     top-level ["runs"] list is the v5-era layout {!Bench_diff} already
     labels and gates, so the scale baseline reuses the same diff
     machinery. *)
@@ -265,18 +261,10 @@ val report_json : report -> Baton_obs.Json.t
     byte-comparisons must either run unprofiled or strip it
     ({!Bench_diff} strips). *)
 
-val schema_version : string
-(** Value of the ["schema"] field of {!bench_json}:
-    ["baton-bench-runtime-v8"]. v8 drops the ["health"] section's
-    ["load"] array: each health sample's ["skew"] is the one per-peer
-    load reading, and every other field keeps its v7 bytes. v7 added
-    the optional per-run ["load"] section (present iff the run had heat
-    instrumentation on), the ["heat_skew"] time-series field and the
-    health samples' ["hot_share"]/["hotspot"] readings. *)
-
 val bench_json : (string * report list) list -> Baton_obs.Json.t
-(** The BENCH_runtime.json document, one section per overlay:
-    [{schema; overlays: [{overlay; runs: [...]}; ...]}]. Run objects
+(** The BENCH_runtime.json document ({!Report_check.runtime_schema}),
+    one section per overlay: [{schema; overlays: [{overlay; runs:
+    [...]}; ...]}]. Run objects
     are unchanged from the v5 schema, so a baton-only document differs
     from its v5 counterpart only by the wrapper. *)
 

@@ -123,9 +123,6 @@ val clear_partition : t -> unit
 
 val partition_active : t -> bool
 
-val partition_blocked : t -> src:int -> dst:int -> bool
-(** Would a message from [src] to [dst] be blocked right now? *)
-
 (** {1 Gray failures}
 
     Gray peers are never declared dead: their links silently degrade

@@ -395,18 +395,22 @@ let join t =
     let pred, succ =
       if p.key < u.key then (Some p, live_right p) else (None, Some p)
     in
+    (* A neighbour left alone by departures has shrunk to height 0; its
+       new level-0 link raises it back to 1. *)
     (match pred with
     | Some (a : node) ->
       ignore (send t ~src:u.id ~dst:a.id ~kind:k_join_update);
       a.right.(0) <- Some u.id;
-      u.left.(0) <- Some a.id
+      u.left.(0) <- Some a.id;
+      a.height <- max a.height 1
     | None -> ());
     (match succ with
     | Some (b : node) ->
       if pred = None then
         ignore (send t ~src:u.id ~dst:b.id ~kind:k_join_update);
       b.left.(0) <- Some u.id;
-      u.right.(0) <- Some b.id
+      u.right.(0) <- Some b.id;
+      b.height <- max b.height 1
     | None -> ());
     u.height <- 1;
     (* Phase 3 — build the upper lists: at each level the neighbours

@@ -10,7 +10,6 @@ val create : unit -> 'a t
 (** Fresh empty array. *)
 
 val of_list : 'a list -> 'a t
-val of_array : 'a array -> 'a t
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool

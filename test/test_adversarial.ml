@@ -8,7 +8,6 @@ module Bus = Baton_sim.Bus
 module Engine = Baton_sim.Engine
 module Metrics = Baton_sim.Metrics
 module Partition = Baton_sim.Partition
-module Churn = Baton_workload.Churn
 module Oracle = Baton_obs.Oracle
 module Json = Baton_obs.Json
 module Net = Baton.Net
@@ -192,33 +191,6 @@ let test_engine_every () =
   Alcotest.check_raises "period must be positive"
     (Invalid_argument "Engine.every: period <= 0") (fun () ->
       Engine.every engine ~period:0. (fun () -> false))
-
-(* --- Churn.bursty ---------------------------------------------------- *)
-
-let test_bursty_schedule () =
-  let rng = Rng.create 9 in
-  let events = Churn.bursty rng ~joins:10 ~leaves:8 ~bursts:3 ~burst_len:4 in
-  let count e = Array.fold_left (fun n x -> if x = e then n + 1 else n) 0 events in
-  Alcotest.(check int) "length" 30 (Array.length events);
-  Alcotest.(check int) "joins" 10 (count Churn.Join);
-  Alcotest.(check int) "leaves" 8 (count Churn.Leave);
-  Alcotest.(check int) "fails" 12 (count Churn.Fail);
-  (* Failures arrive as maximal runs of exactly burst_len. *)
-  let runs = ref [] and cur = ref 0 in
-  Array.iter
-    (fun e ->
-      if e = Churn.Fail then incr cur
-      else if !cur > 0 then begin
-        runs := !cur :: !runs;
-        cur := 0
-      end)
-    events;
-  if !cur > 0 then runs := !cur :: !runs;
-  List.iter
-    (fun len -> Alcotest.(check bool) "burst length multiple" true (len mod 4 = 0))
-    !runs;
-  Alcotest.check_raises "burst_len < 1" (Invalid_argument "Churn.bursty")
-    (fun () -> ignore (Churn.bursty rng ~joins:1 ~leaves:1 ~bursts:1 ~burst_len:0))
 
 (* --- Search: holes contract ----------------------------------------- *)
 
@@ -686,7 +658,6 @@ let suite =
     Alcotest.test_case "schedule defaults and errors" `Quick test_parse_defaults_and_errors;
     Alcotest.test_case "islands and blocked pairs" `Quick test_islands_and_blocked_pairs;
     Alcotest.test_case "engine every" `Quick test_engine_every;
-    Alcotest.test_case "bursty churn schedule" `Quick test_bursty_schedule;
     Alcotest.test_case "search holes: quiescent" `Quick test_search_holes_quiescent;
     Alcotest.test_case "search holes cover missing keys" `Quick test_search_holes_cover_missing_keys;
     Alcotest.test_case "repeated timeouts: no double repair" `Quick test_repeated_timeout_no_double_repair;

@@ -115,6 +115,20 @@ let test_acceptor_has_full_tables () =
     ignore (Join.join net ~via:(Net.random_peer net))
   done
 
+(* A dropped child link hides an occupied position: the acceptor
+   refuses the join before giving away any range or key. *)
+let test_accept_refuses_occupied_position () =
+  let net = N.create ~seed:1 () in
+  let root = Join.join_new_network net in
+  ignore (Join.join net ~via:root);
+  List.iter (Store.insert root.Node.store) [ 600_000_000; 700_000_000 ];
+  Node.set_child root `Left None;
+  let range = root.Node.range and keys = Store.to_list root.Node.store in
+  Alcotest.check_raises "refused" (Invalid_argument "Join.accept: position occupied")
+    (fun () -> ignore (Join.accept net ~acceptor:root (Net.fresh_id net)));
+  Alcotest.(check bool) "range kept" true (Range.equal range root.Node.range);
+  Alcotest.(check (list int)) "keys kept" keys (Store.to_list root.Node.store)
+
 let test_deterministic_build () =
   let a = N.build ~seed:17 100 and b = N.build ~seed:17 100 in
   Alcotest.(check int) "same message count" (N.messages a) (N.messages b);
@@ -131,4 +145,6 @@ let suite =
     Alcotest.test_case "adjacent chain" `Quick test_adjacent_links_after_joins;
     Alcotest.test_case "acceptor premise" `Quick test_acceptor_has_full_tables;
     Alcotest.test_case "deterministic build" `Quick test_deterministic_build;
+    Alcotest.test_case "accept refuses an occupied position" `Quick
+      test_accept_refuses_occupied_position;
   ]

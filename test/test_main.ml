@@ -43,6 +43,7 @@ let () =
       ("overlay", Test_overlay.suite);
       ("workload", Test_workload.suite);
       ("runtime", Test_runtime.suite);
+      ("report_check", Test_report_check.suite);
       ("profiling", Test_profiling.suite);
       ("adversarial", Test_adversarial.suite);
       ("experiments", Test_experiments.suite);

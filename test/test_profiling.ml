@@ -383,7 +383,7 @@ let test_bench_diff_schema_mismatch () =
   let new_doc = rewrite "schema" (Json.String "baton-bench-runtime-v4") old_doc in
   match Bench_diff.compare ~max_regress_pct:50. ~old_doc ~new_doc with
   | Bench_diff.Schema_mismatch { old_schema; new_schema } ->
-    Alcotest.(check string) "old schema" Driver.schema_version old_schema;
+    Alcotest.(check string) "old schema" Baton_runtime.Report_check.runtime_schema old_schema;
     Alcotest.(check string) "new schema" "baton-bench-runtime-v4" new_schema
   | v -> Alcotest.failf "expected schema mismatch: %s" (Bench_diff.render v)
 

@@ -335,7 +335,7 @@ let test_bench_json_schema () =
     | exception Not_found -> false
   in
   Alcotest.(check bool) "schema field" true
-    (contains Driver.schema_version);
+    (contains Baton_runtime.Report_check.runtime_schema);
   List.iter
     (fun field -> Alcotest.(check bool) field true (contains field))
     [

@@ -222,6 +222,19 @@ let run_script ~salt ops =
   SG.check g;
   true
 
+(* The churn script that left a lone peer at height 0 with fresh
+   level-0 links: leaves shrink the graph to one peer, whose height
+   drops to 0, and a later join links it at level 0 without a shared
+   level-1 prefix (QCHECK_SEED=780952420, shrunk). *)
+let test_join_raises_lone_peer_height () =
+  let ops =
+    let j = Op_join and l = Op_leave and i = Op_insert 1 in
+    [ j; j; l; l; j; l; i; i; l; l; j; l; l; j; l; i; j; l; l; l; l; l; i;
+      l; l; j; i; i; i; l; j; i; j; j; l; l; l; l; j; j; j; l; i; l; l; j;
+      i; l; l; j; j ]
+  in
+  Alcotest.(check bool) "audit holds" true (run_script ~salt:0 ops)
+
 let churn_prop =
   let open QCheck2 in
   Test.make ~name:"random churn preserves the full structural audit"
@@ -318,6 +331,8 @@ let suite =
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "adversarial run, zero violations" `Quick
       test_adversarial_zero_violations;
+    Alcotest.test_case "join raises a lone peer's height" `Quick
+      test_join_raises_lone_peer_height;
     QCheck_alcotest.to_alcotest churn_prop;
     QCheck_alcotest.to_alcotest hops_prop;
     QCheck_alcotest.to_alcotest range_model_prop;

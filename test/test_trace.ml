@@ -119,7 +119,42 @@ let test_causal_jsonl_deterministic () =
   Alcotest.(check bool) "non-trivial export" true (String.length a > 200);
   Alcotest.(check string) "same seed, byte-identical JSONL" a b;
   Alcotest.(check string) "render is deterministic too" (Trace.render ep1)
-    (Trace.render ep2)
+    (Trace.render ep2);
+  (* One line per hop, then the analysis line, which counts the hops;
+     the critical path is a non-empty subset of them, and every parent
+     is a span of the same episode. *)
+  let lines =
+    String.split_on_char '\n' a
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l ->
+           match Json.parse l with
+           | Ok j -> j
+           | Error e -> Alcotest.failf "bad JSONL line: %s" e)
+  in
+  let int_of k j =
+    match Json.member k j with
+    | Some (Json.Int i) -> i
+    | _ -> Alcotest.failf "no int field %s" k
+  in
+  match List.rev lines with
+  | analysis :: (_ :: _ as rev_hops) ->
+    let hops = List.rev rev_hops in
+    let msgs = int_of "msgs" analysis and crit = int_of "crit_hops" analysis in
+    Alcotest.(check int) "msgs = hop lines" (List.length hops) msgs;
+    Alcotest.(check bool)
+      "1 <= crit_hops <= msgs" true
+      (1 <= crit && crit <= msgs);
+    let spans = List.map (int_of "span") hops in
+    List.iter
+      (fun h ->
+        match Json.member "parent" h with
+        | Some Json.Null -> ()
+        | Some (Json.Int p) ->
+          Alcotest.(check bool) "parent is a span of the episode" true
+            (List.mem p spans)
+        | _ -> Alcotest.fail "malformed parent")
+      hops
+  | _ -> Alcotest.fail "expected hop lines and an analysis line"
 
 (* Interleaved fibers must not clobber each other's ambient causal
    state: the runtime snapshots a mark at every suspension point. Each

@@ -3,7 +3,6 @@
 module Rng = Baton_util.Rng
 module Datagen = Baton_workload.Datagen
 module Querygen = Baton_workload.Querygen
-module Churn = Baton_workload.Churn
 
 let test_uniform_bounds () =
   let gen = Datagen.uniform (Rng.create 1) in
@@ -59,24 +58,6 @@ let test_ranges_span () =
       Alcotest.(check bool) "start in domain" true (lo >= 0 && lo <= 10_000))
     rs
 
-let test_churn_schedule_counts () =
-  let rng = Rng.create 7 in
-  let s = Churn.schedule rng ~joins:10 ~leaves:5 ~fails:3 in
-  let count e = Array.fold_left (fun acc x -> if x = e then acc + 1 else acc) 0 s in
-  Alcotest.(check int) "joins" 10 (count Churn.Join);
-  Alcotest.(check int) "leaves" 5 (count Churn.Leave);
-  Alcotest.(check int) "fails" 3 (count Churn.Fail);
-  Alcotest.(check int) "total" 18 (Array.length s)
-
-let test_alternating () =
-  let s = Churn.alternating ~joins:3 ~leaves:3 in
-  Alcotest.(check int) "length" 6 (Array.length s);
-  Alcotest.(check bool) "starts with join" true (s.(0) = Churn.Join);
-  Alcotest.(check bool) "alternates" true (s.(1) = Churn.Leave);
-  let s2 = Churn.alternating ~joins:4 ~leaves:1 in
-  let joins = Array.fold_left (fun acc x -> if x = Churn.Join then acc + 1 else acc) 0 s2 in
-  Alcotest.(check int) "uneven counts preserved" 4 joins
-
 let suite =
   [
     Alcotest.test_case "uniform bounds" `Quick test_uniform_bounds;
@@ -85,6 +66,4 @@ let suite =
     Alcotest.test_case "take length" `Quick test_take_length;
     Alcotest.test_case "exact targets" `Quick test_exact_targets_from_keys;
     Alcotest.test_case "ranges span" `Quick test_ranges_span;
-    Alcotest.test_case "churn schedule" `Quick test_churn_schedule_counts;
-    Alcotest.test_case "alternating" `Quick test_alternating;
   ]
