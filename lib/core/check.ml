@@ -21,25 +21,30 @@ let balanced_scan net =
           Position.pp n.Node.pos hl hr)
     (Net.peers net)
 
-(* One post-order pass from the root computes each height once. It
-   settles the healthy case alone: every registered peer reached (the
-   position map holds each exactly once) and no imbalance. Anything
-   else falls back to [balanced_scan], so a failure names the same peer
-   with the same text. *)
-let balanced net =
-  let reached = ref 0 in
+(* One pass from the root: the height of the occupied tree, computing
+   each subtree height once and raising [Exit] at the first unbalanced
+   position. [visit] sees every peer reached, in in-order order. *)
+let root_walk net ~visit =
   let rec height pos =
     match Wiring.occupant net pos with
     | None -> -1
-    | Some _ ->
-      incr reached;
+    | Some n ->
       let hl = height (Position.left_child pos) in
+      visit n;
       let hr = height (Position.right_child pos) in
       if abs (hl - hr) > 1 then raise Exit;
       1 + max hl hr
   in
+  height Position.root
+
+(* The root walk settles the healthy case alone: every registered peer
+   reached (the position map holds each exactly once) and no
+   imbalance. Anything else falls back to [balanced_scan], so a failure
+   names the same peer with the same text. *)
+let balanced net =
+  let reached = ref 0 in
   let healthy =
-    match height Position.root with
+    match root_walk net ~visit:(fun _ -> incr reached) with
     | _ -> !reached = Net.registered net
     | exception Exit -> false
   in
@@ -50,11 +55,13 @@ let height net =
   | None -> -1
   | Some root -> Wiring.subtree_height net root.Node.pos
 
+let max_height n = (1.44 *. (log (float_of_int n) /. log 2.)) +. 1.
+
 let height_bound net =
   let n = Net.size net in
   if n > 1 then begin
     let h = height net in
-    let bound = (1.44 *. (log (float_of_int n) /. log 2.)) +. 1. in
+    let bound = max_height n in
     if float_of_int h > bound then
       fail "height_bound: height %d exceeds 1.44 log2 %d + 1 = %.2f" h n bound
   end
@@ -140,41 +147,40 @@ let check_link ~strict ~(what : unit -> string) ~(owner : Node.t)
         then fail "links: node %d %s caches stale child flags" owner.Node.id (what ())
       end)
 
-let links ?(strict = true) net =
+let peer_links ?(strict = true) net (n : Node.t) =
+  let pos = n.Node.pos in
+  let at p = Some (p, Wiring.occupant net p) in
+  let expect p =
+    match Wiring.occupant net p with None -> None | occupant -> Some (p, occupant)
+  in
+  let expected = function
+    | Link.Parent ->
+      if Position.is_root pos then None else expect (Position.parent pos)
+    | Link.Child `Left -> expect (Position.left_child pos)
+    | Link.Child `Right -> expect (Position.right_child pos)
+    | Link.Adjacent `Left -> Option.bind (Wiring.in_order_predecessor net pos) at
+    | Link.Adjacent `Right -> Option.bind (Wiring.in_order_successor net pos) at
+  in
   List.iter
-    (fun (n : Node.t) ->
-      let pos = n.Node.pos in
-      let at p = Some (p, Wiring.occupant net p) in
-      let expect p =
-        match Wiring.occupant net p with None -> None | occupant -> Some (p, occupant)
-      in
-      let expected = function
-        | Link.Parent ->
-          if Position.is_root pos then None else expect (Position.parent pos)
-        | Link.Child `Left -> expect (Position.left_child pos)
-        | Link.Child `Right -> expect (Position.right_child pos)
-        | Link.Adjacent `Left -> Option.bind (Wiring.in_order_predecessor net pos) at
-        | Link.Adjacent `Right -> Option.bind (Wiring.in_order_successor net pos) at
-      in
-      List.iter
-        (fun k ->
+    (fun k ->
+      check_link ~strict
+        ~what:(fun () -> Format.asprintf "%a" Link.pp_kind k)
+        ~owner:n (Node.link n k) (expected k))
+    Link.all_kinds;
+  List.iter
+    (fun side ->
+      let table = Node.table n side in
+      for j = 0 to Routing_table.size table - 1 do
+        match Position.neighbor pos side j with
+        | Some q ->
           check_link ~strict
-            ~what:(fun () -> Format.asprintf "%a" Link.pp_kind k)
-            ~owner:n (Node.link n k) (expected k))
-        Link.all_kinds;
-      List.iter
-        (fun side ->
-          let table = Node.table n side in
-          for j = 0 to Routing_table.size table - 1 do
-            match Position.neighbor pos side j with
-            | Some q ->
-              check_link ~strict
-                ~what:(fun () -> Printf.sprintf "table slot %d" j)
-                ~owner:n (Routing_table.get table j) (expect q)
-            | None -> ()
-          done)
-        [ `Left; `Right ])
-    (Net.peers net)
+            ~what:(fun () -> Printf.sprintf "table slot %d" j)
+            ~owner:n (Routing_table.get table j) (expect q)
+        | None -> ()
+      done)
+    [ `Left; `Right ]
+
+let links ?(strict = true) net = List.iter (peer_links ~strict net) (Net.peers net)
 
 let in_order_nodes net =
   match Net.root net with
@@ -223,6 +229,39 @@ let data_placement net =
               n.Node.id Range.pp n.Node.range)
         (Baton_util.Sorted_store.to_list n.Node.store))
     (Net.peers net)
+
+(* One root walk that also follows the in-order range tiling: the
+   healthy case of [balanced], [height_bound], [tree_shape] and
+   [ranges] at once. Reaching every registered peer from the root is
+   [tree_shape]; the walk visits exactly [in_order_nodes]. *)
+let healthy_shape net =
+  let reached = ref 0 and first = ref None and last = ref None in
+  let visit (n : Node.t) =
+    incr reached;
+    (match !last with
+    | None -> first := Some n
+    | Some (prev : Node.t) ->
+      if not (Range.touches_left prev.Node.range n.Node.range) then raise Exit);
+    last := Some n
+  in
+  match root_walk net ~visit with
+  | exception Exit -> None
+  | h ->
+    let covers =
+      match (!first, !last) with
+      | Some (a : Node.t), Some (b : Node.t) ->
+        let domain = Net.domain net in
+        a.Node.range.Range.lo <= domain.Range.lo
+        && b.Node.range.Range.hi >= domain.Range.hi
+      | _ -> true
+    in
+    let n = Net.size net in
+    if
+      !reached = Net.registered net
+      && (n <= 1 || float_of_int h <= max_height n)
+      && covers
+    then Some h
+    else None
 
 let all net =
   tree_shape net;

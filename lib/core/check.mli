@@ -37,12 +37,27 @@ val links : ?strict:bool -> Net.t -> unit
     peer identities and positions are verified (useful while deferred
     notifications are in flight). *)
 
+val peer_links : ?strict:bool -> Net.t -> Node.t -> unit
+(** {!links} for one peer: [links] is this over {!Net.peers}, so the
+    first failing peer in that order raises [links]' failure text.
+    Without [strict] the verdict reads only the peer's own position,
+    link slots and tables and the occupants of the positions they
+    should point at. *)
+
 val ranges : Net.t -> unit
 (** The in-order concatenation of all ranges tiles the key domain with
     no gaps or overlaps, in in-order order. *)
 
 val data_placement : Net.t -> unit
 (** Every stored key lies inside its node's range. *)
+
+val healthy_shape : Net.t -> int option
+(** One pass from the root that settles the healthy case of
+    {!balanced}, {!height_bound}, {!tree_shape} and {!ranges}:
+    [Some height] when it reaches every registered peer, meets no
+    unbalanced peer, the height is within the bound and the ranges tile
+    the domain, and then all four pass. [None] decides nothing: run the
+    four for the verdicts and their failure texts. *)
 
 val all : Net.t -> unit
 (** All of the above (links in strict mode). *)

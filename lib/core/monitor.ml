@@ -18,7 +18,14 @@
    Purely an observer: every probe reads the simulator's god view
    (position map, metrics counters); none sends a message or draws from
    a protocol PRNG, so monitoring on vs. off leaves [Metrics.total]
-   byte-identical. *)
+   byte-identical.
+
+   A tick costs what changed since the last one. The links component
+   keeps each peer's last verdict and re-audits only the peers whose
+   own link state changed and the readers of every position whose
+   occupant changed; balance and tiling are settled by one root walk
+   while the tree is healthy. Every verdict and failure text is the
+   full check's. *)
 
 module Metrics = Baton_sim.Metrics
 module Heat = Baton_obs.Heat
@@ -91,6 +98,21 @@ type sample = {
 
 type comp_state = { mutable fails : int; mutable current : level }
 
+(* What the last links audit of a peer read of its own state, and the
+   verdict it gave: [None], or [Check.links]' failure text. The verdict
+   holds while the node, its position, its write stamps and its tables
+   are the same and no position it reads changed occupant. *)
+type audit = {
+  node : Node.t;
+  pos : Position.t;
+  stamp : int;
+  left : Routing_table.t;
+  left_stamp : int;
+  right : Routing_table.t;
+  right_stamp : int;
+  verdict : string option;
+}
+
 type t = {
   net : Net.t;
   thresholds : thresholds;
@@ -101,6 +123,10 @@ type t = {
   states : (string, comp_state) Hashtbl.t;
   (* Interval anchor for per-tick rates (cache staleness). *)
   mutable mark : Metrics.checkpoint;
+  (* The last audit of every registered peer, by id, and how many of
+     them fail. *)
+  audits : (int, audit) Hashtbl.t;
+  mutable failing : int;
 }
 
 let create ?(capacity = 4096) ?(thresholds = default_thresholds) net =
@@ -126,6 +152,8 @@ let create ?(capacity = 4096) ?(thresholds = default_thresholds) net =
     events_rev = [];
     states;
     mark = Metrics.checkpoint (Baton_sim.Bus.metrics (Net.bus net));
+    audits = Hashtbl.create 1024;
+    failing = 0;
   }
 
 let thresholds t = t.thresholds
@@ -139,6 +167,119 @@ let probe f =
   | () -> None
   | exception Failure m -> Some m
   | exception e -> Some (Printexc.to_string e)
+
+let unchanged a (n : Node.t) =
+  a.stamp = n.Node.stamp
+  && a.left == n.Node.left_table
+  && a.right == n.Node.right_table
+  && a.left_stamp = Routing_table.stamp a.left
+  && a.right_stamp = Routing_table.stamp a.right
+
+(* [readers ~deepest yield q] yields every position from which
+   [Check.peer_links] may read the occupant of [q]. Derived from
+   positions alone, so a reader the protocol forgot to update is still
+   found. [deepest] is the deepest registered level. *)
+let readers ~deepest yield q =
+  (* Routing-table slots: the same-level positions 2^j away. *)
+  List.iter
+    (fun side ->
+      for j = 0 to Position.table_size q side - 1 do
+        Option.iter yield (Position.neighbor q side j)
+      done)
+    [ `Left; `Right ];
+  (* The peer whose in-order successor (climbing while a left child)
+     or predecessor (climbing while a right child) reaches [q]
+     through its child chain; these include [q]'s parent. *)
+  let rec ancestor p ~while_left =
+    if Position.is_root p then ()
+    else if Position.is_left_child p = while_left then
+      ancestor (Position.parent p) ~while_left
+    else yield (Position.parent p)
+  in
+  ancestor q ~while_left:true;
+  ancestor q ~while_left:false;
+  (* The peers whose adjacent link climbs to [q]: its left child and
+     that child's right chain, its right child and the left chain;
+     these include [q]'s children. *)
+  let rec chain p side =
+    if p.Position.level <= deepest then begin
+      yield p;
+      chain (Position.child p side) side
+    end
+  in
+  if q.Position.level < deepest then begin
+    chain (Position.left_child q) `Right;
+    chain (Position.right_child q) `Left
+  end
+
+(* The links component at the cost of what changed: one pass over
+   [Net.peers] finds the new, moved, changed and departed peers; the
+   changed ones and every reader of a position that gained or lost an
+   occupant are re-audited. The verdict is the first failing peer in
+   [Net.peers] order, which is where [Check.links] stops. *)
+let audit_links t =
+  let net = t.net in
+  let peers = Net.peers net in
+  let dirty = Hashtbl.create 16 and moved = ref [] in
+  let count = ref 0 and found = ref 0 and deepest = ref 0 in
+  List.iter
+    (fun (n : Node.t) ->
+      incr count;
+      deepest := max !deepest (Node.level n);
+      match Hashtbl.find_opt t.audits n.Node.id with
+      | Some a ->
+        incr found;
+        if a.node != n || not (Position.equal a.pos n.Node.pos) then begin
+          moved := a.pos :: n.Node.pos :: !moved;
+          Hashtbl.replace dirty n.Node.id n
+        end
+        else if not (unchanged a n) then Hashtbl.replace dirty n.Node.id n
+      | None ->
+        moved := n.Node.pos :: !moved;
+        Hashtbl.replace dirty n.Node.id n)
+    peers;
+  if !found < Hashtbl.length t.audits then
+    Hashtbl.filter_map_inplace
+      (fun id a ->
+        if Option.is_some (Net.peer_opt net id) then Some a
+        else begin
+          moved := a.pos :: !moved;
+          if Option.is_some a.verdict then t.failing <- t.failing - 1;
+          None
+        end)
+      t.audits;
+  let reader p =
+    match Net.peer_at net p with
+    | Some (n : Node.t) -> Hashtbl.replace dirty n.Node.id n
+    | None -> ()
+  in
+  (* On a first tick every peer is already dirty. *)
+  if Hashtbl.length dirty < !count then
+    List.iter (readers ~deepest:!deepest reader) !moved;
+  Hashtbl.iter
+    (fun id (n : Node.t) ->
+      let verdict = probe (fun () -> Check.peer_links ~strict:false net n) in
+      (match Hashtbl.find_opt t.audits id with
+      | Some { verdict = Some _; _ } -> t.failing <- t.failing - 1
+      | Some { verdict = None; _ } | None -> ());
+      if Option.is_some verdict then t.failing <- t.failing + 1;
+      Hashtbl.replace t.audits id
+        {
+          node = n;
+          pos = n.Node.pos;
+          stamp = n.Node.stamp;
+          left = n.Node.left_table;
+          left_stamp = Routing_table.stamp n.Node.left_table;
+          right = n.Node.right_table;
+          right_stamp = Routing_table.stamp n.Node.right_table;
+          verdict;
+        })
+    dirty;
+  if t.failing = 0 then None
+  else
+    List.find_map
+      (fun (n : Node.t) -> (Hashtbl.find t.audits n.Node.id).verdict)
+      peers
 
 let transition t ~time state ~component ~failing ~detail =
   let before = state.current in
@@ -160,21 +301,25 @@ let transition t ~time state ~component ~failing ~detail =
 
 let tick t ~time =
   let metrics = Net.metrics t.net in
-  (* Structural probes over the god view. [links] is checked
-     non-strictly: cached ranges going stale between refreshes is
-     normal operation, only wrong identities/positions are damage. *)
-  let structural =
-    [
-      ( c_balance,
-        probe (fun () ->
+  (* Structural probes over the god view. A healthy shape settles
+     balance and tiling in one root walk; otherwise the full checks
+     name the failure. [links] is checked non-strictly: cached ranges
+     going stale between refreshes is normal operation, only wrong
+     identities/positions are damage. *)
+  let balance, tiling, height =
+    match Check.healthy_shape t.net with
+    | Some height -> (None, None, height)
+    | None | (exception _) ->
+      ( probe (fun () ->
             Check.balanced t.net;
-            Check.height_bound t.net) );
-      ( c_tiling,
+            Check.height_bound t.net),
         probe (fun () ->
             Check.tree_shape t.net;
-            Check.ranges t.net) );
-      (c_links, probe (fun () -> Check.links ~strict:false t.net));
-    ]
+            Check.ranges t.net),
+        Check.height t.net )
+  in
+  let structural =
+    [ (c_balance, balance); (c_tiling, tiling); (c_links, audit_links t) ]
   in
   (* Per-node access-load skew (Figure 8(f) as a time series). Only
      currently-registered peers count: load on departed nodes is
@@ -275,7 +420,7 @@ let tick t ~time =
     {
       s_time = time;
       nodes = Net.size t.net;
-      height = Check.height t.net;
+      height;
       skew;
       stale_rate;
       hot_share;

@@ -500,7 +500,7 @@ let shift_histogram t = t.st.shifts
 (* Snapshot format: a magic string (to fail fast on foreign files)
    followed by the marshalled protocol state. Hooks are never written,
    so adding an observer never changes the format. *)
-let snapshot_magic = "BATON-NET-v10"
+let snapshot_magic = "BATON-NET-v11"
 
 let save t path =
   if not (Dyn_array.is_empty t.st.deferred) then

@@ -4,6 +4,7 @@ type t = {
   id : int;
   mutable pos : Position.t;
   links : Link.info option array;
+  mutable stamp : int;
   mutable left_table : Routing_table.t;
   mutable right_table : Routing_table.t;
   mutable range : Range.t;
@@ -18,6 +19,7 @@ let create ~id ~pos ~range =
     id;
     pos;
     links = Array.make Link.num_kinds None;
+    stamp = 0;
     left_table = Routing_table.create pos `Left;
     right_table = Routing_table.create pos `Right;
     range;
@@ -35,8 +37,12 @@ let set_range t range =
     bump_epoch t
   end
 
+let write t i l =
+  Array.unsafe_set t.links i l;
+  t.stamp <- t.stamp + 1
+
 let link t kind = Array.unsafe_get t.links (Link.kind_index kind)
-let set_link t kind l = Array.unsafe_set t.links (Link.kind_index kind) l
+let set_link t kind l = write t (Link.kind_index kind) l
 let parent t = link t Link.Parent
 let set_parent t l = set_link t Link.Parent l
 let child t side = link t (Link.Child side)
@@ -68,13 +74,13 @@ let load t = Sorted_store.length t.store
 
 let reset_tables t =
   t.left_table <- Routing_table.create t.pos `Left;
-  t.right_table <- Routing_table.create t.pos `Right
+  t.right_table <- Routing_table.create t.pos `Right;
+  t.stamp <- t.stamp + 1
 
 let update_links_for_peer t peer f =
   for i = 0 to Link.num_kinds - 1 do
     match Array.unsafe_get t.links i with
-    | Some (l : Link.info) when l.Link.peer = peer ->
-      Array.unsafe_set t.links i (Some (f l))
+    | Some (l : Link.info) when l.Link.peer = peer -> write t i (Some (f l))
     | Some _ | None -> ()
   done;
   Routing_table.update_peer t.left_table peer f;
@@ -83,8 +89,7 @@ let update_links_for_peer t peer f =
 let drop_links_for_peer t peer =
   for i = 0 to Link.num_kinds - 1 do
     match Array.unsafe_get t.links i with
-    | Some (l : Link.info) when l.Link.peer = peer ->
-      Array.unsafe_set t.links i None
+    | Some (l : Link.info) when l.Link.peer = peer -> write t i None
     | Some _ | None -> ()
   done;
   Routing_table.remove_peer t.left_table peer;

@@ -16,6 +16,12 @@ type t = {
   links : Link.info option array;
       (** the five link slots, indexed by {!Link.kind_index}; address
           through {!link}/{!set_link} or the named accessors below *)
+  mutable stamp : int;
+      (** write stamp: bumped by every write of a link slot
+          ({!set_link}, {!update_links_for_peer}/{!drop_links_for_peer}
+          when a slot matches) and by {!reset_tables}. With the
+          tables' own {!Routing_table.stamp}s it tells an observer
+          which peers' links changed; protocol code never touches it *)
   mutable left_table : Routing_table.t;
   mutable right_table : Routing_table.t;
   mutable range : Range.t;

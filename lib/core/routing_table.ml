@@ -1,19 +1,25 @@
 type t = {
   side : [ `Left | `Right ];
   slots : Link.info option array;  (* slot j addresses distance 2^j *)
+  mutable stamp : int;  (* bumped by every slot write *)
 }
 
 let create pos side =
-  { side; slots = Array.make (Position.table_size pos side) None }
+  { side; slots = Array.make (Position.table_size pos side) None; stamp = 0 }
 
 let side t = t.side
 let size t = Array.length t.slots
+let stamp t = t.stamp
+
+let write t j info =
+  t.slots.(j) <- info;
+  t.stamp <- t.stamp + 1
 
 let get t j = if j < 0 || j >= size t then None else t.slots.(j)
 
 let set t j info =
   if j < 0 || j >= size t then invalid_arg "Routing_table.set: slot out of range";
-  t.slots.(j) <- info
+  write t j info
 
 let is_full t = Array.for_all Option.is_some t.slots
 
@@ -45,14 +51,14 @@ let slot_for ~owner t q =
 let update_peer t peer f =
   Array.iteri
     (fun j -> function
-      | Some info when info.Link.peer = peer -> t.slots.(j) <- Some (f info)
+      | Some info when info.Link.peer = peer -> write t j (Some (f info))
       | Some _ | None -> ())
     t.slots
 
 let remove_peer t peer =
   Array.iteri
     (fun j -> function
-      | Some info when info.Link.peer = peer -> t.slots.(j) <- None
+      | Some info when info.Link.peer = peer -> write t j None
       | Some _ | None -> ())
     t.slots
 

@@ -16,6 +16,11 @@ val side : t -> [ `Left | `Right ]
 val size : t -> int
 (** Number of represented slots. *)
 
+val stamp : t -> int
+(** Write stamp: starts at 0 and grows with every slot write ({!set},
+    and {!update_peer}/{!remove_peer} when a slot matches), so equal
+    stamps on the same table mean unchanged slots. *)
+
 val get : t -> int -> Link.info option
 (** [get t j]: slot at distance [2^j]; [None] both for empty slots and
     for [j] beyond the table. *)

@@ -36,19 +36,22 @@ type cell = {
 
 (* One deterministic operation schedule per cell, shared verbatim by
    the baseline and the cached run: 80% exact lookups on Zipf-ranked
-   keys, 10% ranges anchored at a hot key, 10% fresh inserts. *)
+   keys, 10% ranges anchored at a hot key, 10% fresh inserts. A range
+   ends at the domain's last key at the latest: past it the network
+   owns nothing, so the rest would come back as a hole. *)
 let gen_schedule ~seed ~theta ~ops ~keys ~range_span =
   let rng = Rng.create (seed + 223) in
   (* Rank 1 is the hottest key. *)
   let zipf = Zipf.create ~n:(Array.length keys) ~theta in
   let pick () = keys.(Zipf.sample zipf rng - 1) in
   let fresh = Datagen.uniform (Rng.create (seed + 229)) in
+  let last_key = Baton.Network.default_domain.Baton.Range.hi - 1 in
   Array.init ops (fun _ ->
       let d = Rng.int rng 100 in
       if d < 80 then Lookup (pick ())
       else if d < 90 then
         let lo = pick () in
-        Range (lo, lo + range_span)
+        Range (lo, min (lo + range_span) last_key)
       else Insert (Datagen.next fresh))
 
 (* Multiset oracle mirroring the stores' contents. *)

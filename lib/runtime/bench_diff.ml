@@ -112,11 +112,38 @@ let labeled_runs doc =
       List.mapi (fun i run -> (mix_of i run, run)) runs
     | _ -> [])
 
-let events_per_s_of run =
-  match Option.bind (Json.member "profile" run) (Json.member "events_per_s") with
+let number k j =
+  match Json.member k j with
   | Some (Json.Float f) -> Some f
   | Some (Json.Int i) -> Some (float_of_int i)
   | Some _ | None -> None
+
+let events_per_s_of run = Option.bind (Json.member "profile" run) (number "events_per_s")
+
+(* Each profile row's share of the run's wall_ms. *)
+let shares run =
+  let profile = Option.value (Json.member "profile" run) ~default:Json.Null in
+  match (number "wall_ms" profile, Json.member "subsystems" profile) with
+  | Some wall, Some (Json.Obj rows) when wall > 0. ->
+    List.map
+      (fun (name, row) ->
+        (name, Option.value (number "self_ms" row) ~default:0. /. wall))
+      rows
+  | _ -> []
+
+(* The profile rows of a run pair, the one whose share of wall_ms moved
+   most first, each as old -> new: the layer a throughput change comes
+   from. A row missing on one side has share 0 there. *)
+let row_moves old_run new_run =
+  let olds = shares old_run and news = shares new_run in
+  let share name l = Option.value (List.assoc_opt name l) ~default:0. in
+  List.sort_uniq String.compare (List.map fst olds @ List.map fst news)
+  |> List.map (fun name -> (name, share name olds, share name news))
+  |> List.stable_sort (fun (_, o1, n1) (_, o2, n2) ->
+         Float.compare (Float.abs (n2 -. o2)) (Float.abs (n1 -. o1)))
+  |> List.map (fun (name, o, n) ->
+         Printf.sprintf "\n  %s %.1f%% -> %.1f%%" name (100. *. o) (100. *. n))
+  |> String.concat ""
 
 let compare ~max_regress_pct ~old_doc ~new_doc =
   if max_regress_pct < 0. then
@@ -147,8 +174,9 @@ let compare ~max_regress_pct ~old_doc ~new_doc =
           | Some old_eps, Some new_eps when old_eps > 0. ->
             let floor = old_eps *. (1. -. (max_regress_pct /. 100.)) in
             let line =
-              Printf.sprintf "%s: %.0f -> %.0f events/s (floor %.0f)" label
+              Printf.sprintf "%s: %.0f -> %.0f events/s (floor %.0f)%s" label
                 old_eps new_eps floor
+                (row_moves old_run new_run)
             in
             if new_eps < floor then regressions := line :: !regressions
             else details := line :: !details

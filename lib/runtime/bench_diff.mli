@@ -14,7 +14,8 @@
 
 type verdict =
   | Pass of { details : string list }
-      (** simulated sections identical; per-run throughput notes *)
+      (** simulated sections identical; per-run throughput notes, each
+          followed by the run's profile rows (see {!compare}) *)
   | Schema_mismatch of { old_schema : string; new_schema : string }
       (** the documents are different format versions (or a ["schema"]
           field is missing, reported as ["<missing>"]) — regenerate the
@@ -25,7 +26,8 @@ type verdict =
           trailing ["... and N more"] when clipped) *)
   | Throughput_regress of string list
       (** simulated sections identical but at least one run's
-          [profile.events_per_s] fell below the allowed floor *)
+          [profile.events_per_s] fell below the allowed floor; one
+          entry per regressed run, with its profile rows *)
 
 val labeled_runs : Baton_obs.Json.t -> (string * Baton_obs.Json.t) list
 (** Every run of a document with its label: ["overlay/mix"] from the
@@ -42,6 +44,10 @@ val compare :
     ["profile"] subtree removed); then, for each run pair where both
     sides carry a profile,
     [new events_per_s >= old * (1 - max_regress_pct / 100)].
+    Each such run's note, in [Pass] or [Throughput_regress], goes on to
+    list the ["profile.subsystems"] rows as their share of [wall_ms],
+    old -> new, one indented line each, the row whose share moved most
+    first: the layer a throughput change comes from.
     Runs are gathered from the v6 per-overlay sections (labeled
     ["overlay/mix"] in every detail line), falling back to a v5-style
     top-level run list (labeled by mix) so two pre-v6 baselines still

@@ -282,6 +282,9 @@ let cache_breaches doc =
          need rules
            (num "churn_pct" cell > 0. || num "stale" cell = 0.)
            "stale shortcuts at zero churn";
+         need rules
+           (num "churn_pct" cell > 0. || num "partial" cell = 0.)
+           "partial answers at zero churn";
          let label =
            match (Json.member "theta" cell, Json.member "churn_pct" cell) with
            | Some (Json.Float t), Some (Json.Int c) ->

@@ -45,4 +45,5 @@ val check : Baton_obs.Json.t -> string list
     sum to [wall_ms] within 1%; no cache traffic with the route cache
     off; and ordered latency percentiles. A scale run is also profiled
     and labeled ["n=<n>"] by its own size. Every cache cell gave no
-    wrong answer, and met no stale shortcut at zero churn. *)
+    wrong answer and, at zero churn, met no stale shortcut and gave no
+    partial answer. *)

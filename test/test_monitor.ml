@@ -8,6 +8,12 @@ module Json = Baton_obs.Json
 module Rng = Baton_util.Rng
 module N = Baton.Network
 module Net = Baton.Net
+module Node = Baton.Node
+module Link = Baton.Link
+module Position = Baton.Position
+module Routing_table = Baton.Routing_table
+module Check = Baton.Check
+module Wiring = Baton.Wiring
 
 (* Wide-open thresholds so only the component under test can fail. *)
 let lax = { Monitor.default_thresholds with max_skew = 1e9; max_stale_rate = 1. }
@@ -221,6 +227,284 @@ let test_create_validates () =
            ~thresholds:{ Monitor.default_thresholds with persist = 0 }
            net))
 
+
+(* --- Write stamps -------------------------------------------------------- *)
+
+let info peer pos =
+  {
+    Link.peer;
+    pos;
+    range = Baton.Range.make ~lo:1 ~hi:2;
+    has_left_child = false;
+    has_right_child = false;
+  }
+
+let test_node_writers_bump_the_stamp () =
+  let pos = Position.make ~level:2 ~number:2 in
+  let n = Node.create ~id:1 ~pos ~range:(Baton.Range.make ~lo:1 ~hi:9) in
+  let bumps what f =
+    let before = n.Node.stamp in
+    f ();
+    Alcotest.(check bool) what true (n.Node.stamp > before)
+  and keeps what f =
+    let before = n.Node.stamp in
+    f ();
+    Alcotest.(check int) what before n.Node.stamp
+  in
+  let p = info 7 Position.root in
+  bumps "set_link" (fun () -> Node.set_link n Link.Parent (Some p));
+  bumps "set_parent" (fun () -> Node.set_parent n (Some p));
+  bumps "set_child" (fun () -> Node.set_child n `Left None);
+  bumps "set_adjacent" (fun () -> Node.set_adjacent n `Right (Some p));
+  bumps "reset_tables" (fun () -> Node.reset_tables n);
+  bumps "update_links_for_peer, matching" (fun () ->
+      Node.update_links_for_peer n 7 Fun.id);
+  keeps "update_links_for_peer, no match" (fun () ->
+      Node.update_links_for_peer n 8 Fun.id);
+  bumps "drop_links_for_peer, matching" (fun () -> Node.drop_links_for_peer n 7);
+  keeps "drop_links_for_peer, no match" (fun () -> Node.drop_links_for_peer n 7)
+
+let test_table_writers_bump_the_stamp () =
+  let owner = Position.make ~level:3 ~number:5 in
+  let t = Routing_table.create owner `Right in
+  let bumps what f =
+    let before = Routing_table.stamp t in
+    f ();
+    Alcotest.(check bool) what true (Routing_table.stamp t > before)
+  and keeps what f =
+    let before = Routing_table.stamp t in
+    f ();
+    Alcotest.(check int) what before (Routing_table.stamp t)
+  in
+  let q = info 4 (Position.make ~level:3 ~number:6) in
+  bumps "set" (fun () -> Routing_table.set t 0 (Some q));
+  bumps "update_peer, matching" (fun () -> Routing_table.update_peer t 4 Fun.id);
+  keeps "update_peer, no match" (fun () -> Routing_table.update_peer t 5 Fun.id);
+  bumps "remove_peer, matching" (fun () -> Routing_table.remove_peer t 4);
+  keeps "remove_peer, no match" (fun () -> Routing_table.remove_peer t 4);
+  (* A node's table writes land on the table's stamp, not the node's. *)
+  let n = Node.create ~id:1 ~pos:owner ~range:(Baton.Range.make ~lo:1 ~hi:9) in
+  let before = n.Node.stamp in
+  Routing_table.set (Node.table n `Left) 0 (Some q);
+  Alcotest.(check int) "node stamp" before n.Node.stamp;
+  Alcotest.(check int) "table stamp" 1 (Routing_table.stamp (Node.table n `Left))
+
+(* --- The incremental audit equals the full one -------------------------- *)
+
+type step =
+  | Join of bool  (** [true]: notifications deferred across a tick *)
+  | Leave of bool
+  | Crash_repair
+  | Forced_join
+  | Forced_leave
+  | Insert
+  | Forget of bool
+      (** unregister a non-root peer ([true]: put a fresh node at its
+          position), re-wire from the god view every peer that fails
+          but one, tick, then restore *)
+
+let print_step = function
+  | Join d -> Printf.sprintf "Join %b" d
+  | Leave d -> Printf.sprintf "Leave %b" d
+  | Crash_repair -> "Crash_repair"
+  | Forced_join -> "Forced_join"
+  | Forced_leave -> "Forced_leave"
+  | Insert -> "Insert"
+  | Forget r -> Printf.sprintf "Forget %b" r
+
+let print_script (n, seed, steps) =
+  Printf.sprintf "(%d, %d, [ %s ])" n seed
+    (String.concat "; " (List.map print_step steps))
+
+let gen_step =
+  let open QCheck2.Gen in
+  frequency
+    [
+      (3, map (fun d -> Join d) bool);
+      (3, map (fun d -> Leave d) bool);
+      (2, return Crash_repair);
+      (1, return Forced_join);
+      (1, return Forced_leave);
+      (2, return Insert);
+      (3, map (fun r -> Forget r) bool);
+    ]
+
+let probe f =
+  match f () with
+  | () -> None
+  | exception Failure m -> Some m
+  | exception e -> Some (Printexc.to_string e)
+
+(* The full checks behind each structural component, run now. *)
+let full_verdicts net =
+  [
+    ( "balance",
+      probe (fun () ->
+          Check.balanced net;
+          Check.height_bound net) );
+    ( "tiling",
+      probe (fun () ->
+          Check.tree_shape net;
+          Check.ranges net) );
+    ("links", probe (fun () -> Check.links ~strict:false net));
+  ]
+
+exception Disagree of string
+
+let disagree fmt = Printf.ksprintf (fun m -> raise (Disagree m)) fmt
+
+(* Tick, and hold every structural verdict, the new events' details and
+   the height to the full checks at this instant. *)
+let tick_agrees mon net ~time =
+  let seen = List.length (Monitor.events mon) in
+  let s = Monitor.tick mon ~time in
+  let fresh = List.filteri (fun i _ -> i >= seen) (Monitor.events mon) in
+  List.iter
+    (fun (c, verdict) ->
+      let level = List.assoc c s.Monitor.levels in
+      if (level <> Monitor.Ok) <> Option.is_some verdict then
+        disagree "t=%g %s: monitor %s, full check %s" time c
+          (Monitor.level_label level)
+          (Option.value verdict ~default:"passes");
+      List.iter
+        (fun (e : Monitor.event) ->
+          if String.equal e.Monitor.component c && e.Monitor.after <> Monitor.Ok
+          then
+            let full = Option.value verdict ~default:"" in
+            if not (String.equal e.Monitor.detail full) then
+              disagree "t=%g %s detail %S, full check %S" time
+                c e.Monitor.detail full)
+        fresh)
+    (full_verdicts net);
+  if s.Monitor.height <> Check.height net then
+    disagree "t=%g height %d, Check.height %d" time
+      s.Monitor.height (Check.height net)
+
+let fails net n = Option.is_some (probe (fun () -> Check.peer_links ~strict:false net n))
+
+(* Re-wire every peer failing its links from the god view, sparing
+   [except]. *)
+let rewire ?except net =
+  List.iter
+    (fun (n : Node.t) ->
+      if Some n.Node.id <> except && fails net n then
+        Wiring.rebuild_links net n ~kind:Baton.Msg.restructure)
+    (Net.peers net)
+
+(* Run a script on a built network with a monitor tick after every
+   step (and inside the steps that hold state mid-operation). *)
+let audit_script (n, seed, steps) =
+  let net = N.build ~seed n in
+  let rng = Rng.create (seed + 1) in
+  let mon = Monitor.create ~thresholds:lax net in
+  let clock = ref 0. in
+  let tick () =
+    clock := !clock +. 1.;
+    tick_agrees mon net ~time:!clock
+  in
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  let deferred d f =
+    Net.set_defer net d;
+    f ();
+    if d then begin
+      tick ();
+      Net.set_defer net false;
+      Net.flush_deferred net
+    end
+  in
+  let leaves () = List.filter Node.is_leaf (Check.in_order_nodes net) in
+  let step = function
+    | Join d -> deferred d (fun () -> ignore (N.join net))
+    | Leave d ->
+      if Net.size net > 2 then
+        deferred d (fun () -> N.leave net (pick (Net.peers net)).Node.id)
+    | Crash_repair ->
+      if Net.size net > 3 then begin
+        let v = pick (Net.peers net) in
+        Baton.Failure.crash net v;
+        tick ();
+        N.repair net v.Node.id
+      end
+    | Forced_join ->
+      ignore
+        (Baton.Restructure.forced_join net ~parent:(pick (leaves ()))
+           (Net.fresh_id net))
+    | Forced_leave -> (
+      (* Hand the range and content to an in-order neighbour first, as
+         the balancer does. *)
+      let v = pick (Net.peers net) in
+      match Node.adjacent v `Left, Node.adjacent v `Right with
+      | (Some l, _ | None, Some l) when Net.size net > 3 && not (Node.is_root v) ->
+        let heir = Net.peer net l.Link.peer in
+        Baton_util.Sorted_store.absorb heir.Node.store v.Node.store;
+        Node.set_range heir (Baton.Range.merge heir.Node.range v.Node.range);
+        Baton.Restructure.forced_leave net v
+      | _ -> ())
+    | Insert -> N.insert net (Rng.int_in_range rng ~lo:1 ~hi:999_999_999)
+    | Forget replace -> (
+      match List.filter (fun v -> not (Node.is_root v)) (Net.peers net) with
+      | [] -> ()
+      | candidates ->
+        let victim = pick candidates in
+        Net.unregister net victim;
+        let fresh =
+          if replace then begin
+            let f =
+              Node.create ~id:(Net.fresh_id net) ~pos:victim.Node.pos
+                ~range:victim.Node.range
+            in
+            Net.register net f;
+            Some f
+          end
+          else None
+        in
+        (match List.filter (fails net) (Net.peers net) with
+        | [] -> ()
+        | failing -> rewire ~except:(pick failing).Node.id net);
+        tick ();
+        Option.iter (Net.unregister net) fresh;
+        Net.register net victim;
+        rewire net)
+  in
+  List.iter
+    (fun s ->
+      step s;
+      tick ())
+    steps
+
+let gen_script =
+  QCheck2.Gen.(
+    triple (int_range 2 150) (int_bound 100_000) (list_size (int_bound 25) gen_step))
+
+(* Shrunk failures of the property with one class of position readers
+   deleted from the monitor: each fixture catches its class. *)
+let reader_fixtures =
+  [
+    ("routing-table neighbours", (2, 0, [ Forced_leave; Join false; Forget false ]));
+    ("ancestor above a left chain", (2, 0, [ Join false; Forget false; Join true ]));
+    ("ancestor above a right chain", (2, 0, [ Forget false ]));
+    ("left child and its right chain", (3, 0, [ Join false; Forget true ]));
+    ("right child and its left chain", (7, 0, [ Leave false; Leave true ]));
+  ]
+
+let test_reader_fixtures () =
+  let failed =
+    List.filter_map
+      (fun (what, script) ->
+        match audit_script script with
+        | () -> None
+        | exception Disagree m -> Some (what ^ ": " ^ m))
+      reader_fixtures
+  in
+  if failed <> [] then Alcotest.fail (String.concat "\n" failed)
+
+let incremental_prop =
+  QCheck2.Test.make ~name:"incremental audit equals the full checks" ~count:40
+    ~long_factor:25 ~print:print_script gen_script (fun script ->
+      match audit_script script with
+      | () -> true
+      | exception Disagree m -> QCheck2.Test.fail_report m)
+
 let suite =
   [
     Alcotest.test_case "healthy network stays ok" `Quick
@@ -235,4 +519,10 @@ let suite =
     Alcotest.test_case "json shape + determinism" `Quick
       test_json_shape_and_determinism;
     Alcotest.test_case "create validates" `Quick test_create_validates;
+    Alcotest.test_case "node writers bump the stamp" `Quick
+      test_node_writers_bump_the_stamp;
+    Alcotest.test_case "table writers bump the stamp" `Quick
+      test_table_writers_bump_the_stamp;
+    Alcotest.test_case "reader-class fixtures" `Quick test_reader_fixtures;
+    QCheck_alcotest.to_alcotest incremental_prop;
   ]

@@ -387,6 +387,52 @@ let test_bench_diff_schema_mismatch () =
     Alcotest.(check string) "new schema" "baton-bench-runtime-v4" new_schema
   | v -> Alcotest.failf "expected schema mismatch: %s" (Bench_diff.render v)
 
+(* A profile row whose self time moved is named first, in the pass
+   notes and in a regression's line alike. *)
+let test_bench_diff_names_the_moved_row () =
+  let old_doc = bench_doc ~profile:true in
+  let new_doc =
+    let rec bump_tick = function
+      | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, v) ->
+               match (k, v) with
+               | "monitor.tick", Json.Obj row ->
+                 ( k,
+                   Json.Obj
+                     (List.map
+                        (function
+                          | "self_ms", Json.Float f -> ("self_ms", Json.Float (f +. 50.))
+                          | field -> field)
+                        row) )
+               | _ -> (k, bump_tick v))
+             fields)
+      | Json.List items -> Json.List (List.map bump_tick items)
+      | scalar -> scalar
+    in
+    bump_tick old_doc
+  in
+  let first_row note =
+    match String.split_on_char '\n' note with
+    | _ :: row :: _ -> String.trim row
+    | _ -> Alcotest.failf "no profile rows in %S" note
+  in
+  let named_first note =
+    let row = first_row note in
+    Alcotest.(check string) "moved row first" "monitor.tick"
+      (String.sub row 0 (String.index row ' '))
+  in
+  (match Bench_diff.compare ~max_regress_pct:99. ~old_doc ~new_doc with
+  | Bench_diff.Pass { details = [ note ] } -> named_first note
+  | v -> Alcotest.failf "expected one pass note: %s" (Bench_diff.render v));
+  match
+    Bench_diff.compare ~max_regress_pct:50. ~old_doc
+      ~new_doc:(rewrite "events_per_s" (Json.Float 0.001) new_doc)
+  with
+  | Bench_diff.Throughput_regress [ line ] -> named_first line
+  | v -> Alcotest.failf "expected one regression: %s" (Bench_diff.render v)
+
 (* Unprofiled documents still gate the simulated sections; the
    throughput check reports itself skipped instead of failing. *)
 let test_bench_diff_unprofiled_docs () =
@@ -458,6 +504,8 @@ let suite =
       test_bench_diff_throughput_regress;
     Alcotest.test_case "bench-diff schema mismatch" `Quick
       test_bench_diff_schema_mismatch;
+    Alcotest.test_case "bench-diff names the moved profile row" `Quick
+      test_bench_diff_names_the_moved_row;
     Alcotest.test_case "bench-diff unprofiled docs" `Quick
       test_bench_diff_unprofiled_docs;
     Alcotest.test_case "engine probe counts events" `Quick

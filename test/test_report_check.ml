@@ -148,18 +148,10 @@ let test_committed_scale () =
       expect "failed" (num (run |. "failed") = 0.) run)
     (runs doc)
 
-(* What CI held the committed and the smoke cache documents to: no
-   partial range answer at zero churn (at small sizes a range anchored
-   near the top of the key domain runs past it and comes back partial),
-   and the headline claim, that a read-heavy Zipf(0.9) workload at zero
-   churn drops total traffic by at least 30%. *)
+(* What CI held the committed and the smoke cache documents to beyond
+   the contract: the headline claim, that a read-heavy Zipf(0.9)
+   workload at zero churn drops total traffic by at least 30%. *)
 let cache_expectations doc =
-  List.iter
-    (fun c ->
-      if num (c |. "churn_pct") = 0. then
-        Alcotest.(check (float 0.)) "no partial answer at zero churn" 0.
-          (num (c |. "partial")))
-    (runs doc);
   let head =
     List.filter
       (fun c -> num (c |. "theta") = 0.9 && num (c |. "churn_pct") = 0.)
@@ -417,6 +409,8 @@ let tampers =
     (cache, "theta=0.5/churn=0%", "wrong answers", edit "runs/0/wrong_answers" (bump 1.));
     (cache, "theta=0.5/churn=0%", "stale shortcuts at zero churn",
      edit "runs/0/stale" (bump 1.));
+    (cache, "theta=0.5/churn=0%", "partial answers at zero churn",
+     edit "runs/0/partial" (bump 1.));
   ]
 
 let test_untampered_documents_pass () =

@@ -73,7 +73,7 @@ let test_load_rejects_garbage () =
     (fun () -> ignore (Net.load path));
   Sys.remove path
 
-(* A snapshot of the previous format version is named as such, not
+(* A snapshot of an earlier format version is named as such, not
    taken for garbage — its tag is one byte shorter than the current
    one, and is reported whole either way. *)
 let test_load_rejects_previous_version () =
@@ -84,7 +84,7 @@ let test_load_rejects_previous_version () =
     close_out oc
   in
   let previous =
-    Net.Incompatible_snapshot { found = "BATON-NET-v9"; expected = "BATON-NET-v10" }
+    Net.Incompatible_snapshot { found = "BATON-NET-v9"; expected = "BATON-NET-v11" }
   in
   write "BATON-NET-v9marshalled state of the old layout";
   Alcotest.check_raises "previous version" previous (fun () ->
