@@ -420,12 +420,6 @@ let bench_run nodes seed keys_per_node ops clients overlay_names mix_names
   let has_non_baton =
     List.exists (fun o -> not (String.equal o "baton")) overlays
   in
-  if has_non_baton && (route_cache || faults <> None) then begin
-    Printf.eprintf
-      "--route-cache and --faults read BATON's network; drop them or \
-       keep --overlay baton\n";
-    exit 2
-  end;
   if has_non_baton && (monitor_every > 0. || heat) then
     Printf.eprintf
       "note: monitoring and heat read BATON's network; disabled for the \
@@ -467,34 +461,36 @@ let bench_run nodes seed keys_per_node ops clients overlay_names mix_names
       Printf.eprintf "unknown arrival model %S (closed|open)\n" other;
       exit 2
   in
-  let sections =
+  (* Validate every config up front, before the first run. *)
+  let configs =
     List.map
       (fun overlay ->
         let baton = String.equal overlay "baton" in
-        let reports =
+        ( overlay,
           List.map
             (fun mix ->
-              let cfg =
-                or_reject (fun () ->
-                    Driver.config ~overlay ~seed ~keys_per_node ~clients ~ops
-                      ~arrival ~route_cache
-                      ~monitor_every_ms:(if baton then monitor_every else 0.)
-                      ~series_every_ms:series_every ~profile
-                      ~heat:(baton && heat)
-                      ~fault_schedule ~oracle ~n:nodes ~mix ())
-              in
-              Printf.eprintf "running %s/%s (n=%d, %d ops)...\n%!" overlay
-                mix.Driver.mix_name nodes ops;
-              let r = Driver.run cfg in
-              print_endline
-                (if List.length overlays > 1 then
-                   Printf.sprintf "%-10s %s" overlay (Driver.summary r)
-                 else Driver.summary r);
-              r)
-            mixes
-        in
-        (overlay, reports))
+              or_reject (fun () ->
+                  Driver.config ~overlay ~seed ~keys_per_node ~clients ~ops
+                    ~arrival ~route_cache
+                    ~monitor_every_ms:(if baton then monitor_every else 0.)
+                    ~series_every_ms:series_every ~profile
+                    ~heat:(baton && heat)
+                    ~fault_schedule ~oracle ~n:nodes ~mix ()))
+            mixes ))
       overlays
+  in
+  let run (cfg : Driver.config) =
+    Printf.eprintf "running %s/%s (n=%d, %d ops)...\n%!" cfg.overlay
+      cfg.mix.mix_name nodes ops;
+    let r = Driver.run cfg in
+    print_endline
+      (if List.length overlays > 1 then
+         Printf.sprintf "%-10s %s" cfg.overlay (Driver.summary r)
+       else Driver.summary r);
+    r
+  in
+  let sections =
+    List.map (fun (overlay, cfgs) -> (overlay, List.map run cfgs)) configs
   in
   (* One stderr line for the whole invocation — aggregate wall clock
      and engine throughput over the profiled runs — so scale runs are
@@ -775,9 +771,10 @@ let overlay_arg =
            $(b,all); repeatable — the report carries one section per \
            overlay, same seeded plan and message accounting for each. \
            Default: baton. Every overlay runs on the fiber runtime with \
-           time series and profiling; monitoring, heat, \
-           $(b,--route-cache) and $(b,--faults) read BATON's network and \
-           apply to baton only. Unknown names exit 1 listing the valid \
+           time series and profiling; monitoring, heat and \
+           $(b,--route-cache) read BATON's network and apply to baton \
+           only, and $(b,--faults) runs on baton and, with a churn-free \
+           mix, skip-graph. Unknown names exit 1 listing the valid \
            ones.")
 
 let mix_arg =

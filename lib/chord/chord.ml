@@ -318,80 +318,7 @@ let lookup t key =
 
 let range_scan_cost t = size t
 
-(* --- Lazy membership with periodic maintenance ---------------------- *)
-
-let k_stabilize = "chord.stabilize"
-
-let join_lazy t =
-  if size t = 0 then
-    let n = bootstrap t in
-    { peer = n.peer; search_msgs = 0; update_msgs = 0 }
-  else begin
-    let via = peer t (random_peer_id t) in
-    let n = fresh_node t in
-    let cp = Metrics.checkpoint (metrics t) in
-    let s, search_msgs = find_successor t ~from:via n.ring ~kind:k_join_search in
-    ignore cp;
-    register t n;
-    n.succ <- s.peer;
-    (* Predecessor and fingers start unknown (beyond the successor);
-       stabilization fills them in. *)
-    n.pred <- None;
-    n.fingers.(0) <- Some s.peer;
-    { peer = n.peer; search_msgs; update_msgs = 0 }
-  end
-
-(* n asks its successor for its predecessor; if that peer sits between
-   them, adopt it as the new successor; then notify the successor. *)
-let stabilize_peer t (n : node) =
-  let msgs = ref 0 in
-  let s = peer t n.succ in
-  if s.peer <> n.peer then begin
-    incr msgs;
-    Bus.send t.bus ~src:n.peer ~dst:s.peer ~kind:k_stabilize
-  end;
-  (match s.pred with
-  | Some xid when Hashtbl.mem t.peers xid ->
-    let x = peer t xid in
-    if x.peer <> n.peer && Id.in_open x.ring ~lo:n.ring ~hi:s.ring then begin
-      n.succ <- x.peer;
-      n.fingers.(0) <- Some x.peer
-    end
-  | Some _ | None -> ());
-  let s = peer t n.succ in
-  if s.peer <> n.peer then begin
-    incr msgs;
-    Bus.send t.bus ~src:n.peer ~dst:s.peer ~kind:k_stabilize;
-    (* notify: s adopts n as predecessor if n is closer. *)
-    match s.pred with
-    | Some pid when Hashtbl.mem t.peers pid ->
-      let p = peer t pid in
-      if Id.in_open n.ring ~lo:p.ring ~hi:s.ring then s.pred <- Some n.peer
-    | Some _ | None -> s.pred <- Some n.peer
-  end
-  else n.pred <- Some n.peer;
-  !msgs
-
-let stabilize_round t =
-  let cp = Metrics.checkpoint (metrics t) in
-  Hashtbl.iter (fun _ n -> ignore (stabilize_peer t n)) t.peers;
-  Metrics.since (metrics t) cp
-
-let fix_fingers_round t =
-  let cp = Metrics.checkpoint (metrics t) in
-  Hashtbl.iter
-    (fun _ (n : node) ->
-      for i = 0 to Id.bits - 1 do
-        let start = Id.add_pow n.ring i in
-        let f, _ = find_successor t ~from:n start ~kind:k_stabilize in
-        n.fingers.(i) <- Some f.peer
-      done)
-    t.peers;
-  Metrics.since (metrics t) cp
-
-
-
-let check_exn t =
+let check t =
   let fail fmt = Format.kasprintf failwith fmt in
   if size t = 0 then ()
   else begin
@@ -449,8 +376,3 @@ let check_exn t =
           n.keys)
       t.peers
   end
-
-let check = check_exn
-
-let converged t =
-  match check_exn t with exception Failure _ -> false | () -> true

@@ -68,29 +68,3 @@ val range_scan_cost : t -> int
 val check : t -> unit
 (** Verify ring, predecessor, finger and data-placement invariants.
     @raise Failure on the first violation. *)
-
-(** {2 Periodic maintenance (the classic protocol)}
-
-    The counted joins above repair fingers eagerly so that message
-    counts are deterministic. Real Chord instead converges lazily:
-    a node joins knowing only its successor, and periodic
-    [stabilize] / [fix_fingers] rounds repair the ring and the finger
-    tables. Both styles are implemented; the lazy one is exercised by
-    the tests to show convergence. *)
-
-val join_lazy : t -> join_stats
-(** Join by locating the successor only (no finger construction, no
-    update_others): the cheapest possible join, leaving repair to
-    {!stabilize_round} and {!fix_fingers_round}. *)
-
-val stabilize_round : t -> int
-(** One stabilization pass over every peer: each asks its successor for
-    its predecessor, adopts a closer successor if one appeared, and
-    notifies the successor of itself. Returns the messages paid. *)
-
-val fix_fingers_round : t -> int
-(** Every peer refreshes its whole finger table with fresh lookups.
-    Returns the messages paid. *)
-
-val converged : t -> bool
-(** [true] when {!check} passes (ring, predecessors, fingers, data). *)

@@ -216,16 +216,26 @@ let readers ~deepest yield q =
    [Net.peers] finds the new, moved, changed and departed peers; the
    changed ones and every reader of a position that gained or lost an
    occupant are re-audited. The verdict is the first failing peer in
-   [Net.peers] order, which is where [Check.links] stops. *)
+   [Net.peers] order, which is where [Check.links] stops. The same pass
+   sums the registered peers' message loads: [(peers with load, total,
+   peak)]. *)
 let audit_links t =
   let net = t.net in
+  let metrics = Net.metrics net in
   let peers = Net.peers net in
   let dirty = Hashtbl.create 16 and moved = ref [] in
   let count = ref 0 and found = ref 0 and deepest = ref 0 in
+  let loaded = ref 0 and total = ref 0 and peak = ref 0 in
   List.iter
     (fun (n : Node.t) ->
       incr count;
       deepest := max !deepest (Node.level n);
+      let load = Metrics.node_count metrics n.Node.id in
+      if load > 0 then begin
+        incr loaded;
+        total := !total + load;
+        peak := max !peak load
+      end;
       match Hashtbl.find_opt t.audits n.Node.id with
       | Some a ->
         incr found;
@@ -275,11 +285,14 @@ let audit_links t =
           verdict;
         })
     dirty;
-  if t.failing = 0 then None
-  else
-    List.find_map
-      (fun (n : Node.t) -> (Hashtbl.find t.audits n.Node.id).verdict)
-      peers
+  let verdict =
+    if t.failing = 0 then None
+    else
+      List.find_map
+        (fun (n : Node.t) -> (Hashtbl.find t.audits n.Node.id).verdict)
+        peers
+  in
+  (verdict, (!loaded, !total, !peak))
 
 let transition t ~time state ~component ~failing ~detail =
   let before = state.current in
@@ -318,19 +331,12 @@ let tick t ~time =
             Check.ranges t.net),
         Check.height t.net )
   in
-  let structural =
-    [ (c_balance, balance); (c_tiling, tiling); (c_links, audit_links t) ]
-  in
   (* Per-node access-load skew (Figure 8(f) as a time series). Only
      currently-registered peers count: load on departed nodes is
      history, not present imbalance. *)
-  let nodes, total, peak =
-    List.fold_left
-      (fun ((nodes, total, peak) as acc) (node, count) ->
-        if Option.is_some (Net.peer_opt t.net node) then
-          (nodes + 1, total + count, max peak count)
-        else acc)
-      (0, 0, 0) (Metrics.per_node metrics)
+  let links, (nodes, total, peak) = audit_links t in
+  let structural =
+    [ (c_balance, balance); (c_tiling, tiling); (c_links, links) ]
   in
   let skew =
     if total = 0 then 0.

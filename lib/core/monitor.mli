@@ -35,7 +35,7 @@ val level_rank : level -> int
 
 val c_load : string
 (** Per-node message-load skew (max/mean) over the registered peers'
-    [Metrics.per_node] counts, against [max_skew]. Departed peers keep
+    [Metrics.node_count]s, against [max_skew]. Departed peers keep
     their counts in [Metrics] but are left out. *)
 
 val c_cache : string

@@ -11,11 +11,9 @@
      its impossibility is part of the comparison);
    - the runtime driver's canonical mixes run per overlay at equal
      message accounting, each judged by the consistency oracle;
-   - an adversarial section: BATON under the combined PR-6 fault
-     schedule on the concurrent runtime, and the Skip Graph under the
-     same episode shapes (key-order partition, gray peers, correlated
-     crash burst) driven directly at the bus — both expected to hold
-     violations at zero. *)
+   - an adversarial section: every overlay with a crash surface (BATON
+     and the Skip Graph) under one combined fault schedule on the
+     concurrent runtime — violations expected to hold at zero. *)
 
 module Rng = Baton_util.Rng
 module Datagen = Baton_workload.Datagen
@@ -23,8 +21,6 @@ module Querygen = Baton_workload.Querygen
 module Overlay = P2p_overlay.Overlay
 module Driver = Baton_runtime.Driver
 module Oracle = Baton_obs.Oracle
-module Metrics = Baton_sim.Metrics
-module Bus = Baton_sim.Bus
 module Partition = Baton_sim.Partition
 
 (* Mean messages per exact and per range query at size [n], measured
@@ -58,127 +54,10 @@ let sweep_point (module O : Overlay.S) ~seed ~n ~(p : Params.t) =
   O.check t;
   (exact, range)
 
-(* The Skip Graph under the adversarial episode shapes, driven directly
-   at the bus (the runtime's fault scheduler is baton-specific, but the
-   bus primitives it rests on are shared). Episodes run in disjoint
-   windows over the op stream: a symmetric key-order partition, a gray
-   window, then a correlated crash burst of adjacent peers — with the
-   oracle judging every completed operation over the message clock.
-   An op cut off by a fault raises [Bus.Timeout] and is counted failed,
-   exactly like a casualty on the runtime path. *)
-let skip_graph_adversarial ~seed ~n ~keys_per_node ~range_span ~ops =
-  let g =
-    Skip_graph.create ~seed ~domain_lo:Datagen.domain_lo
-      ~domain_hi:Datagen.domain_hi ()
-  in
-  for _ = 1 to n do
-    ignore (Skip_graph.join g)
-  done;
-  let gen = Datagen.uniform (Rng.create ((seed * 31) + 7)) in
-  let keys = Datagen.take gen (keys_per_node * n) in
-  ignore (Skip_graph.bulk_insert g (Array.to_list keys));
-  let o = Oracle.create () in
-  Oracle.seed_keys o (Array.to_list keys);
-  let m = Skip_graph.metrics g in
-  let cp = Metrics.checkpoint m in
-  let clock () = float_of_int (Metrics.since m cp) in
-  let bus = Skip_graph.bus g in
-  let rng = Rng.create (seed + 23) in
-  let completed = ref 0 and failed = ref 0 in
-  (* Mirrors [Driver.adversarial]: 5 exact / 3 range / 2 insert. *)
-  let do_op () =
-    let started = clock () in
-    let r = Rng.int rng 10 in
-    if r < 5 then begin
-      let k = keys.(Rng.int rng (Array.length keys)) in
-      match Skip_graph.lookup g k with
-      | found, _ ->
-        incr completed;
-        ignore
-          (Oracle.check_exact o ~started ~finished:(clock ()) ~key:k ~found
-             ~complete:true ()
-            : Oracle.verdict)
-      | exception (Bus.Timeout _ | Failure _) -> incr failed
-    end
-    else if r < 8 then begin
-      let lo =
-        Rng.int_in_range rng ~lo:Datagen.domain_lo
-          ~hi:(max Datagen.domain_lo (Datagen.domain_hi - range_span))
-      in
-      let hi = lo + range_span in
-      match Skip_graph.range_query g ~lo ~hi with
-      | ks, _ ->
-        incr completed;
-        ignore
-          (Oracle.check_range o ~started ~finished:(clock ()) ~lo ~hi ~keys:ks
-             ~complete:true ~holes:[] ()
-            : Oracle.verdict)
-      | exception (Bus.Timeout _ | Failure _) -> incr failed
-    end
-    else begin
-      let k =
-        Rng.int_in_range rng ~lo:Datagen.domain_lo ~hi:(Datagen.domain_hi - 1)
-      in
-      Oracle.begin_mutation o k;
-      match Skip_graph.insert g k with
-      | _ ->
-        incr completed;
-        Oracle.commit_insert o k ~started ~finished:(clock ())
-      | exception (Bus.Timeout _ | Failure _) ->
-        Oracle.abort_mutation o k;
-        incr failed
-    end
-  in
-  let burst = max 1 (ops / 4) in
-  (* Calm start. *)
-  for _ = 1 to burst do
-    do_op ()
-  done;
-  (* Episode 1 — symmetric partition, two islands cut in key order (the
-     level-0 list order, so each island is a contiguous key interval). *)
-  let order = Skip_graph.peer_ids_by_key g in
-  Bus.set_partition bus
-    ~assign:(Partition.islands ~order ~k:2)
-    ~blocked:(Partition.blocked_pairs ~k:2 ~oneway:false);
-  for _ = 1 to burst do
-    do_op ()
-  done;
-  Bus.clear_partition bus;
-  (* Episode 2 — gray peers: elevated drop on every hop touching them. *)
-  Bus.set_gray_model bus ~seed:(seed + 77);
-  let ids = Skip_graph.peer_ids g in
-  for i = 0 to min 3 (Array.length ids - 1) do
-    Bus.set_gray_peer bus
-      ids.(Rng.int rng (Array.length ids))
-      ~extra_drop:0.3 ~slow:2.;
-    ignore i
-  done;
-  for _ = 1 to burst do
-    do_op ()
-  done;
-  Bus.clear_gray_model bus;
-  (* Episode 3 — correlated crash burst: adjacent peers in key order die
-     at one instant (the skip-graph analogue of a subtree crash), their
-     data lost. Lazy repair then pays for every splice under the same
-     message accounting as the queries. *)
-  let order = Skip_graph.peer_ids_by_key g in
-  let width = max 1 (Array.length order / 20) in
-  let start = Rng.int rng (max 1 (Array.length order - width)) in
-  let burst_time = clock () in
-  for i = start to min (start + width - 1) (Array.length order - 1) do
-    let lost = Skip_graph.crash g order.(i) in
-    Oracle.note_lost o ~time:burst_time lost
-  done;
-  (* Recovery traffic: the remaining ops route around (and splice out)
-     the corpses. *)
-  for _ = 1 to ops - (3 * burst) do
-    do_op ()
-  done;
-  Skip_graph.check g;
-  (!completed, !failed, o, Metrics.since m cp)
-
-(* The combined PR-6 schedule, as in Exp_adversarial's worst case. *)
-let baton_schedule = "partition@500+1200:k=2;subtree@2200;gray@300+2500:peers=4"
+(* The combined schedule — partition, subtree crash, gray peers — as in
+   Exp_adversarial's worst case. *)
+let combined_schedule =
+  "partition@500+1200:k=2;subtree@2200;gray@300+2500:peers=4"
 
 let run (p : Params.t) =
   let i = Table.cell_int and f = Table.cell_float in
@@ -293,38 +172,34 @@ let run (p : Params.t) =
         ]
       mix_rows
   in
-  (* Panel 4 — adversarial: zero oracle violations expected from both
-     fault-capable overlays. *)
-  let baton_row =
-    let schedule =
-      match Partition.parse baton_schedule with
-      | Ok s -> s
-      | Error msg -> invalid_arg ("Exp_overlay_matrix: " ^ msg)
-    in
-    let cfg =
-      Driver.config ~seed:p.Params.seed ~keys_per_node:p.Params.keys_per_node
-        ~ops ~fault_schedule:schedule ~oracle:true ~n ~mix:Driver.adversarial
-        ()
-    in
-    let r = Driver.run cfg in
-    let o = Option.get r.Driver.oracle in
-    [
-      "baton"; i r.Driver.completed; i r.Driver.failed; i (Oracle.checked o);
-      i (Oracle.violation_count o); i (Oracle.tolerated_count o);
-      i (Oracle.lost_keys o); i r.Driver.messages;
-    ]
+  (* Panel 4 — adversarial: every overlay with a crash surface under
+     the same faulted config; zero oracle violations expected. *)
+  let schedule =
+    match Partition.parse combined_schedule with
+    | Ok s -> s
+    | Error msg -> invalid_arg ("Exp_overlay_matrix: " ^ msg)
   in
-  let skip_row =
-    let completed, failed, o, messages =
-      skip_graph_adversarial ~seed:p.Params.seed ~n
-        ~keys_per_node:p.Params.keys_per_node ~range_span:p.Params.range_span
-        ~ops
-    in
-    [
-      "skip-graph"; i completed; i failed; i (Oracle.checked o);
-      i (Oracle.violation_count o); i (Oracle.tolerated_count o);
-      i (Oracle.lost_keys o); i messages;
-    ]
+  let adversarial_rows =
+    List.filter_map
+      (fun (module O : Overlay.S) ->
+        Option.map
+          (fun _ ->
+            let r =
+              Driver.run
+                (Driver.config ~overlay:O.name ~seed:p.Params.seed
+                   ~keys_per_node:p.Params.keys_per_node ~ops
+                   ~fault_schedule:schedule ~oracle:true ~n
+                   ~mix:Driver.adversarial ())
+            in
+            let o = Option.get r.Driver.oracle in
+            [
+              O.name; i r.Driver.completed; i r.Driver.failed;
+              i (Oracle.checked o); i (Oracle.violation_count o);
+              i (Oracle.tolerated_count o); i (Oracle.lost_keys o);
+              i r.Driver.messages;
+            ])
+          O.faults)
+      Overlay.all
   in
   let adversarial_table =
     Table.make ~id:"overlay-adversarial"
@@ -336,13 +211,14 @@ let run (p : Params.t) =
         ]
       ~notes:
         [
-          "BATON runs the combined PR-6 schedule on the concurrent runtime \
-           (suspicion-driven repair); the Skip Graph faces the same episode \
-           shapes — key-order partition, gray peers, correlated crash burst \
-           — driven at the bus, recovering by lazy splice-out. Chord and \
-           the multiway tree have no fault-recovery path and sit this panel \
-           out. Violations must be zero.";
+          "Each overlay with a crash surface runs the combined schedule \
+           (partition, subtree crash, gray peers) on the concurrent \
+           runtime, same seeded plan: BATON recovers by suspicion-driven \
+           repair, the Skip Graph by lazy splice-out, its correlated \
+           crash a key-adjacent run of n/20 peers. Chord and the multiway \
+           tree have no fault-recovery path and sit this panel out. \
+           Violations must be zero.";
         ]
-      [ baton_row; skip_row ]
+      adversarial_rows
   in
   [ exact_table; range_table; mixes_table; adversarial_table ]

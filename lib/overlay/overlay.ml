@@ -6,6 +6,12 @@ type stats = {
 
 exception Unsupported of string
 
+type fault_surface = {
+  peers_in_order : unit -> int array;
+  pick_group : Baton_util.Rng.t -> int array;
+  crash : int -> int list;
+}
+
 let stats_of_metrics m =
   {
     total = Baton_sim.Metrics.total m;
@@ -30,9 +36,73 @@ module type S = sig
   val join : t -> unit
   val leave_random : t -> Baton_util.Rng.t -> unit
   val check : t -> unit
+  val faults : (t -> fault_surface) option
 end
 
-module Baton_overlay : S = struct
+(* BATON's crash surface: live peers ordered by range, and a correlated
+   group that is a live internal node's whole subtree. *)
+let baton_faults net =
+  let module Net = Baton.Net in
+  let module Node = Baton.Node in
+  let live_peers () =
+    List.filter
+      (fun (p : Node.t) ->
+        not (Baton_sim.Bus.is_failed (Net.bus net) p.Node.id))
+      (Net.peers net)
+  in
+  let peers_in_order () =
+    live_peers ()
+    |> List.sort (fun (a : Node.t) (b : Node.t) ->
+           compare a.Node.range.Baton.Range.lo b.Node.range.Baton.Range.lo)
+    |> List.map (fun (p : Node.t) -> p.Node.id)
+    |> Array.of_list
+  in
+  let pick_group srng =
+    (* Sample a live internal node (level >= 2 keeps the blast radius
+       below "most of the network") and take its whole subtree — the
+       correlated victim group. Falls back to a single random live
+       peer in tiny or degenerate trees. *)
+    let live =
+      List.sort
+        (fun (a : Node.t) (b : Node.t) -> compare a.Node.id b.Node.id)
+        (live_peers ())
+    in
+    let internal =
+      List.filter
+        (fun (p : Node.t) -> Node.level p >= 2 && not (Node.is_leaf p))
+        live
+    in
+    match (internal, live) with
+    | [], [] -> [||]
+    | [], _ ->
+      [| (List.nth live (Baton_util.Rng.int srng (List.length live))).Node.id |]
+    | _, _ ->
+      let top =
+        List.nth internal (Baton_util.Rng.int srng (List.length internal))
+      in
+      let rec collect pos acc =
+        match Baton.Wiring.occupant net pos with
+        | None -> acc
+        | Some (c : Node.t) ->
+          let acc = c.Node.id :: acc in
+          let acc = collect (Baton.Position.left_child pos) acc in
+          collect (Baton.Position.right_child pos) acc
+      in
+      collect top.Node.pos []
+      |> List.filter (fun id -> not (Baton_sim.Bus.is_failed (Net.bus net) id))
+      |> List.sort_uniq compare |> Array.of_list
+  in
+  let crash id =
+    match Net.peer_opt net id with
+    | None -> []
+    | Some (victim : Node.t) ->
+      let lost = Baton_util.Sorted_store.to_list victim.Node.store in
+      Baton.Failure.crash net victim;
+      lost
+  in
+  { peers_in_order; pick_group; crash }
+
+module Baton_overlay : S with type t = Baton.Net.t = struct
   type t = Baton.Net.t
 
   let name = "baton"
@@ -53,6 +123,7 @@ module Baton_overlay : S = struct
       Baton.Network.leave t (Baton_util.Rng.pick rng (Baton.Net.live_ids t))
 
   let check = Baton.Check.all
+  let faults = Some baton_faults
 end
 
 module Chord_overlay : S = struct
@@ -92,6 +163,7 @@ module Chord_overlay : S = struct
       ignore (Chord.leave t (Baton_util.Rng.pick rng (Chord.peer_ids t)))
 
   let check = Chord.check
+  let faults = None
 end
 
 module Multiway_overlay : S = struct
@@ -125,6 +197,7 @@ module Multiway_overlay : S = struct
       ignore (Multiway.leave t (Baton_util.Rng.pick rng (Multiway.peer_ids t)))
 
   let check = Multiway.check
+  let faults = None
 end
 
 module Skip_graph_overlay : S = struct
@@ -160,6 +233,26 @@ module Skip_graph_overlay : S = struct
         (Skip_graph.leave t (Baton_util.Rng.pick rng (Skip_graph.peer_ids t)))
 
   let check = Skip_graph.check
+
+  (* A correlated crash is a key-adjacent run of n/20 peers: a
+     contiguous stretch of the level-0 list, the skip graph's analogue
+     of a subtree. Lists are repaired lazily around the corpses. *)
+  let faults =
+    Some
+      (fun t ->
+        let pick_group rng =
+          let order = Skip_graph.peer_ids_by_key t in
+          let width = max 1 (Array.length order / 20) in
+          let start =
+            Baton_util.Rng.int rng (max 1 (Array.length order - width))
+          in
+          Array.sub order start (min width (Array.length order - start))
+        in
+        {
+          peers_in_order = (fun () -> Skip_graph.peer_ids_by_key t);
+          pick_group;
+          crash = Skip_graph.crash t;
+        })
 end
 
 let baton : (module S) = (module Baton_overlay)

@@ -24,6 +24,18 @@ exception Unsupported of string
 (** Raised by an operation the overlay cannot perform; carries the
     overlay name. *)
 
+type fault_surface = {
+  peers_in_order : unit -> int array;
+      (** live peer ids in key order: partition islands and gray picks;
+          a deterministic function of the network state *)
+  pick_group : Baton_util.Rng.t -> int array;
+      (** one correlated crash group, drawn with the scenario PRNG *)
+  crash : int -> int list;
+      (** crash one peer abruptly; returns the keys it held *)
+}
+(** What a fault schedule ([Baton_sim.Partition]) needs of an overlay:
+    which peers to cut apart or degrade, and how they crash. *)
+
 module type S = sig
   type t
 
@@ -68,7 +80,16 @@ module type S = sig
 
   val check : t -> unit
   (** Structural invariants; @raise Failure on violation. *)
+
+  val faults : (t -> fault_surface) option
+  (** The crash surface of an overlay that recovers from injected
+      faults on its own; [None] when it has no recovery path. *)
 end
+
+module Baton_overlay : S with type t = Baton.Net.t
+(** BATON over its own network type, so a driver that builds the
+    network itself (custom domain, route cache) reads its
+    {!S.faults} surface. *)
 
 val baton : (module S)
 val chord : (module S)

@@ -12,7 +12,6 @@
 
 module Rng = Baton_util.Rng
 module Zipf = Baton_util.Zipf
-module Sorted_store = Baton_util.Sorted_store
 module Timing = Baton_obs.Timing
 module Json = Baton_obs.Json
 module Trace = Baton_obs.Trace
@@ -92,10 +91,8 @@ let config ?(overlay = "baton") ?(seed = 2005) ?(keys_per_node = 5)
     ?(heat = false) ?(fault_schedule = []) ?(oracle = false) ~n ~mix () =
   (* Canonicalize eagerly so an unknown name fails here, with the valid
      list in the exception, not deep inside [run]. *)
-  let overlay =
-    let module O = (val Overlay.of_name overlay : Overlay.S) in
-    O.name
-  in
+  let (module O : Overlay.S) = Overlay.of_name overlay in
+  let overlay = O.name in
   if n < 2 then invalid_arg "Driver.config: n < 2";
   if clients < 1 then invalid_arg "Driver.config: clients < 1";
   if ops < 1 then invalid_arg "Driver.config: ops < 1";
@@ -110,10 +107,27 @@ let config ?(overlay = "baton") ?(seed = 2005) ?(keys_per_node = 5)
   | Open { rate_per_s } when rate_per_s <= 0. ->
     invalid_arg "Driver.config: rate_per_s <= 0"
   | Closed _ | Open _ -> ());
+  if fault_schedule <> [] then begin
+    if Option.is_none O.faults then
+      invalid_arg
+        (Printf.sprintf
+           "Driver.config: %s has no fault recovery path; fault schedules \
+            run on %s"
+           overlay
+           (String.concat ", "
+              (List.filter_map
+                 (fun (module F : Overlay.S) ->
+                   Option.map (fun _ -> F.name) F.faults)
+                 Overlay.all)));
+    (* Its joins and leaves do not survive a lost message or a crash in
+       the middle of the protocol. *)
+    if String.equal overlay "skip-graph" && mix.churn_w > 0 then
+      invalid_arg
+        "Driver.config: the skip graph's joins and leaves do not survive \
+         faults; pick a churn-free mix"
+  end;
   (* These read BATON's network, which the comparison overlays lack. *)
   if not (String.equal overlay "baton") then begin
-    if fault_schedule <> [] then
-      invalid_arg "Driver.config: fault schedules are baton-only";
     if route_cache then
       invalid_arg "Driver.config: the route cache is baton-only";
     if monitor_every_ms > 0. then
@@ -272,9 +286,8 @@ let baton_setup cfg net ~membership ~crng =
    false-complete answer under churn. The lock admits in arrival order,
    so the overlay's PRNG is drawn in plan order and a run counts the
    same messages at any number of clients. *)
-let overlay_setup cfg (module O : Overlay.S) ~keys ~membership ~crng =
-  let t = O.create ~seed:cfg.seed ~n:cfg.n in
-  O.bulk_load t (Array.to_list keys);
+let overlay_setup (type o) cfg (module O : Overlay.S with type t = o) (t : o)
+    ~membership ~crng =
   let shared f = Runtime.Lock.with_shared membership f in
   let exclusive f = Runtime.Lock.with_lock membership f in
   let execute = function
@@ -297,79 +310,26 @@ let overlay_setup cfg (module O : Overlay.S) ~keys ~membership ~crng =
   (Runtime.of_bus ~timeout_ms:cfg.timeout_ms (O.bus t), execute)
 
 (* Adversarial scenario: translate the fault schedule into engine
-   events. Faults can only fire while the engine runs, i.e. during the
-   measured phase — never during setup. Suspicion-driven repair is
-   enabled (peers must recover on their own; no god view) and
-   serialized through the same membership lock as joins/leaves, so
-   structural mutations never interleave. *)
-let install_faults cfg net ~engine ~membership ~oracle ~note =
-  Net.set_suspicion_repair net true;
-  Net.set_repair_serializer net
-    (Some (fun f -> Runtime.Lock.with_lock membership f));
-  let live_peers () =
-    List.filter
-      (fun (p : Baton.Node.t) ->
-        not (Bus.is_failed (Net.bus net) p.Baton.Node.id))
-      (Net.peers net)
-  in
-  let peers_in_order () =
-    live_peers ()
-    |> List.sort (fun (a : Baton.Node.t) (b : Baton.Node.t) ->
-           compare a.Baton.Node.range.Baton.Range.lo
-             b.Baton.Node.range.Baton.Range.lo)
-    |> List.map (fun (p : Baton.Node.t) -> p.Baton.Node.id)
-    |> Array.of_list
-  in
-  let pick_subtree srng =
-    (* Sample a live internal node (level >= 2 keeps the blast radius
-       below "most of the network") and take its whole subtree — the
-       correlated victim group. Falls back to a single random live
-       peer in tiny or degenerate trees. *)
-    let live =
-      List.sort
-        (fun (a : Baton.Node.t) (b : Baton.Node.t) ->
-          compare a.Baton.Node.id b.Baton.Node.id)
-        (live_peers ())
-    in
-    let internal =
-      List.filter
-        (fun (p : Baton.Node.t) ->
-          Baton.Node.level p >= 2 && not (Baton.Node.is_leaf p))
-        live
-    in
-    match (internal, live) with
-    | [], [] -> [||]
-    | [], _ ->
-      [| (List.nth live (Rng.int srng (List.length live))).Baton.Node.id |]
-    | _, _ ->
-      let top = List.nth internal (Rng.int srng (List.length internal)) in
-      let rec collect pos acc =
-        match Baton.Wiring.occupant net pos with
-        | None -> acc
-        | Some (c : Baton.Node.t) ->
-          let acc = c.Baton.Node.id :: acc in
-          let acc = collect (Baton.Position.left_child pos) acc in
-          collect (Baton.Position.right_child pos) acc
-      in
-      collect top.Baton.Node.pos []
-      |> List.filter (fun id -> not (Bus.is_failed (Net.bus net) id))
-      |> List.sort_uniq compare |> Array.of_list
-  in
+   events on the overlay's crash surface. Faults can only fire while the
+   engine runs, i.e. during the measured phase — never during setup. A
+   crash destroys the peer's data at that instant, which the oracle is
+   told. *)
+let install_faults cfg (surface : Overlay.fault_surface) ~bus ~engine ~oracle
+    ~note =
   let crash id =
-    match Net.peer_opt net id with
-    | None -> ()
-    | Some (victim : Baton.Node.t) ->
-      (* The crash destroys the peer's data at this instant; tell the
-         model before the bus refuses messages to it. *)
-      (match oracle with
-      | Some o ->
-        Oracle.note_lost o ~time:(Engine.now engine)
-          (Sorted_store.to_list victim.Baton.Node.store)
-      | None -> ());
-      Baton.Failure.crash net victim
+    let lost = surface.crash id in
+    Option.iter
+      (fun o -> Oracle.note_lost o ~time:(Engine.now engine) lost)
+      oracle
   in
-  Partition.install ~bus:(Net.bus net) ~engine ~seed:((cfg.seed * 67) + 5)
-    ~hooks:{ Partition.peers_in_order; pick_subtree; crash; note }
+  Partition.install ~bus ~engine ~seed:((cfg.seed * 67) + 5)
+    ~hooks:
+      {
+        Partition.peers_in_order = surface.peers_in_order;
+        pick_subtree = surface.pick_group;
+        crash;
+        note;
+      }
     cfg.fault_schedule
 
 let run cfg =
@@ -381,8 +341,9 @@ let run cfg =
   let membership = Runtime.Lock.create () in
   let crng = Rng.create ((cfg.seed * 17) + 23) in
   (* [net] is BATON's network, read by the observers that only BATON
-     has (tracer, heat, faults, monitor). *)
-  let net, (rt, execute) =
+     has (tracer, heat, monitor). [audit] is the structural check a
+     faulted comparison run ends with. *)
+  let net, (rt, execute), faults, audit =
     if String.equal cfg.overlay "baton" then begin
       let net = Baton.Network.build ~seed:cfg.seed ?domain:cfg.domain cfg.n in
       (* Batched placement: one locate plus an in-order distribution
@@ -391,12 +352,28 @@ let run cfg =
         (Baton.Update.bulk_insert net ~from:(Net.random_peer net)
            (Array.to_list keys));
       if cfg.route_cache then Net.enable_route_cache net;
-      (Some net, baton_setup cfg net ~membership ~crng)
+      if cfg.fault_schedule <> [] then begin
+        (* Peers must recover on their own (no god view), and repairs
+           serialize with joins and leaves on the membership lock, so
+           structural mutations never interleave. *)
+        Net.set_suspicion_repair net true;
+        Net.set_repair_serializer net
+          (Some (fun f -> Runtime.Lock.with_lock membership f))
+      end;
+      ( Some net,
+        baton_setup cfg net ~membership ~crng,
+        Option.map (fun f -> f net) Overlay.Baton_overlay.faults,
+        ignore )
     end
-    else
+    else begin
+      let (module O : Overlay.S) = Overlay.of_name cfg.overlay in
+      let t = O.create ~seed:cfg.seed ~n:cfg.n in
+      O.bulk_load t (Array.to_list keys);
       ( None,
-        overlay_setup cfg (Overlay.of_name cfg.overlay) ~keys ~membership
-          ~crng )
+        overlay_setup cfg (module O) t ~membership ~crng,
+        Option.map (fun f -> f t) O.faults,
+        fun () -> O.check t )
+    end
   in
   (* Phase 2 — concurrent measured run. *)
   let bus = Runtime.bus rt in
@@ -437,9 +414,9 @@ let run cfg =
     | Some _ | None -> None
   in
   let scenario_notes = ref [] in
-  (match net with
-  | Some net when cfg.fault_schedule <> [] ->
-    install_faults cfg net ~engine ~membership ~oracle ~note:(fun msg ->
+  (match faults with
+  | Some surface when cfg.fault_schedule <> [] ->
+    install_faults cfg surface ~bus ~engine ~oracle ~note:(fun msg ->
         scenario_notes := (Engine.now engine, msg) :: !scenario_notes)
   | Some _ | None -> ());
   (* Self-profiler, created just before the drain (below) so its clock
@@ -637,6 +614,7 @@ let run cfg =
     Profile.stop p;
     Engine.set_probe engine None;
     Bus.set_probe bus None);
+  if cfg.fault_schedule <> [] then audit ();
   let duration_ms = !last_done in
   {
     cfg;

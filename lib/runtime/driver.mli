@@ -52,8 +52,9 @@ type config = {
   overlay : string;
       (** canonical {!P2p_overlay.Overlay.S} name, ["baton"] by
           default. The features that read BATON's network — [domain],
-          [route_cache], [monitor_every_ms], [heat] and
-          [fault_schedule] — require ["baton"]. *)
+          [route_cache], [monitor_every_ms] and [heat] — require
+          ["baton"]; [fault_schedule] requires an overlay with a
+          {!P2p_overlay.Overlay.S.faults} surface. *)
   n : int;
   seed : int;
   keys_per_node : int;
@@ -99,9 +100,11 @@ type config = {
   fault_schedule : Baton_sim.Partition.schedule;
       (** adversarial scenario injected into the measured phase
           (partitions, subtree crashes, gray peers); [[]] (the default)
-          injects nothing. A non-empty schedule also enables
-          suspicion-driven repair, serialized with joins/leaves through
-          the driver's membership lock. *)
+          injects nothing. It targets the overlay's crash surface
+          ({!P2p_overlay.Overlay.fault_surface}). On BATON it also
+          enables suspicion-driven repair, serialized with joins/leaves
+          through the driver's membership lock; a comparison overlay's
+          faulted run ends with its structural [check]. *)
   oracle : bool;
       (** replay every completed operation against the consistency
           oracle ({!Baton_obs.Oracle}), with causal-trace evidence
@@ -137,8 +140,10 @@ val config :
     schedule, oracle off. The overlay name is canonicalized (aliases resolve).
     @raise Invalid_argument on non-positive sizes (an empty key set
     included), a negative sampling period, a negative think time, a
-    non-positive open-loop rate, or a baton-only feature requested for
-    another overlay.
+    non-positive open-loop rate, a baton-only feature requested for
+    another overlay, or a fault schedule on an overlay without a crash
+    surface or on the skip graph with a churning mix (its joins and
+    leaves do not survive faults).
     @raise P2p_overlay.Overlay.Unknown_overlay for an unregistered
     overlay name. *)
 
@@ -218,7 +223,9 @@ val run : config -> report
     enable the route cache when configured, then execute the plan
     concurrently on the fiber runtime and report. On the comparison
     overlays the fields only BATON produces — retries, cache counts,
-    health, load — are zero/[Null]. *)
+    health, load — are zero/[Null].
+    @raise Failure when a faulted comparison overlay fails its
+    structural [check] at the end of the run. *)
 
 val scale_config :
   ?seed:int -> ?keys_per_node:int -> ?ops:int -> ?clients:int -> int -> config

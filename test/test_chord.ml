@@ -118,46 +118,6 @@ let test_range_scan_cost_is_linear () =
   done;
   Alcotest.(check int) "must visit every peer" 30 (Chord.range_scan_cost t)
 
-let test_lazy_join_then_stabilize_converges () =
-  let t = Chord.create ~seed:10 () in
-  for _ = 1 to 40 do
-    ignore (Chord.join_lazy t)
-  done;
-  (* Immediately after lazy joins the ring is inconsistent... *)
-  Alcotest.(check int) "size" 40 (Chord.size t);
-  (* ...but stabilization + finger repair converge to a checkable
-     state (classic Chord's eventual consistency). *)
-  let rounds = ref 0 in
-  while (not (Chord.converged t)) && !rounds < 64 do
-    ignore (Chord.stabilize_round t);
-    ignore (Chord.fix_fingers_round t);
-    incr rounds
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "converged after %d rounds" !rounds)
-    true (Chord.converged t);
-  Chord.check t
-
-let test_lazy_join_is_cheap () =
-  let t = Chord.create ~seed:11 () in
-  for _ = 1 to 100 do
-    ignore (Chord.join t)
-  done;
-  let eager = Chord.join t in
-  let lazy_stats = Chord.join_lazy t in
-  Alcotest.(check int) "no update messages" 0 lazy_stats.Chord.update_msgs;
-  Alcotest.(check bool) "far cheaper than eager join" true
-    (lazy_stats.Chord.search_msgs < eager.Chord.update_msgs / 4)
-
-let test_stabilize_counts_messages () =
-  let t = Chord.create ~seed:12 () in
-  for _ = 1 to 10 do
-    ignore (Chord.join t)
-  done;
-  Alcotest.(check bool) "stabilize pays messages" true (Chord.stabilize_round t > 0);
-  Alcotest.(check bool) "fix_fingers pays messages" true (Chord.fix_fingers_round t > 0);
-  Chord.check t
-
 let churn_prop =
   let open QCheck2 in
   Test.make ~name:"chord invariants under random churn" ~count:15
@@ -189,8 +149,5 @@ let suite =
     Alcotest.test_case "leave keeps ring/data" `Quick test_leave_keeps_ring_and_data;
     Alcotest.test_case "delete" `Quick test_delete;
     Alcotest.test_case "range scan linear" `Quick test_range_scan_cost_is_linear;
-    Alcotest.test_case "lazy join converges" `Quick test_lazy_join_then_stabilize_converges;
-    Alcotest.test_case "lazy join cheap" `Quick test_lazy_join_is_cheap;
-    Alcotest.test_case "stabilize counted" `Quick test_stabilize_counts_messages;
     QCheck_alcotest.to_alcotest churn_prop;
   ]

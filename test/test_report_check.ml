@@ -238,6 +238,36 @@ let test_overlay_matrix () =
         (runs section))
     (sections doc)
 
+(* The overlay-matrix job's faulted run: every overlay with a crash
+   surface under one combined schedule, each section showing that it
+   fired. *)
+let test_overlay_faults () =
+  let doc =
+    bench_run ~n:150 ~ops:300 ~overlays:[ "baton"; "skip-graph" ]
+      ~mixes:[ Driver.adversarial ]
+      ~faults:"partition@500+1200:k=2;subtree@2200;gray@300+2500:peers=4"
+      ~oracle:true ~profile:false ~monitor_every:0. ~heat:false ()
+  in
+  keeps_contract "overlay faults" doc;
+  Alcotest.(check (list string))
+    "every overlay with a crash surface" [ "baton"; "skip-graph" ]
+    (List.map (fun s -> str (s |. "overlay")) (sections doc));
+  List.iter
+    (fun section ->
+      let overlay = str (section |. "overlay") in
+      List.iter
+        (fun run ->
+          let expect what cond = expect (overlay ^ " " ^ what) cond run in
+          let faults = run |. "faults" in
+          expect "schedule reported" (faults |. "schedule" <> Json.Null);
+          expect "an episode fired" (items (faults |. "scenario") <> []);
+          expect "the partition bit" (num (faults |. "partition_timeouts") > 0.);
+          expect "the crash lost keys"
+            (num (run |. "oracle" |. "lost_keys") > 0.);
+          expect "operations judged" (num (run |. "oracle" |. "checked") > 0.))
+        (runs section))
+    (sections doc)
+
 let cache_doc ~seed ~n ~keys_per_node ~ops ~range_span =
   Exp_cache.bench_json ~seed ~n ~keys_per_node ~ops ~range_span
     (Exp_cache.cells ~seed ~n ~keys_per_node ~ops ~range_span ())
@@ -498,13 +528,18 @@ let gen_small =
   let* monitor = bool and* series = bool and* heat = bool in
   let* profile = bool and* route_cache = bool and* oracle = bool in
   let* faults = oneofl ("" :: fault_specs) in
+  (* Fault schedules run on the overlays with a crash surface: BATON,
+     and the skip graph on churn-free mixes. *)
+  let faulted =
+    baton || (String.equal overlay "skip-graph" && mix.Driver.churn_w = 0)
+  in
   return
     {
       overlay; n; ops; seed; mix; arrival; clients; series; profile; oracle;
       monitor = baton && monitor;
       heat = baton && heat;
       route_cache = baton && route_cache;
-      faults = (if baton then faults else "");
+      faults = (if faulted then faults else "");
     }
 
 let small_report c =
@@ -583,7 +618,7 @@ let test_fixtures () =
 
 let runtime_prop =
   QCheck2.Test.make ~name:"every small bench-run document keeps the contract"
-    ~count:60 ~print:print_small gen_small (fun c ->
+    ~count:60 ~long_factor:25 ~print:print_small gen_small (fun c ->
       let doc = written (Driver.bench_json [ (c.overlay, [ small_report c ]) ]) in
       keeps_contract (print_small c) doc;
       (* A profiled run reports its profile. *)
@@ -631,6 +666,7 @@ let suite =
     Alcotest.test_case "CI smoke config" `Quick test_smoke;
     Alcotest.test_case "CI adversarial config" `Quick test_adversarial;
     Alcotest.test_case "CI overlay-matrix config" `Quick test_overlay_matrix;
+    Alcotest.test_case "CI overlay faults config" `Quick test_overlay_faults;
     Alcotest.test_case "CI cache smoke config" `Quick test_cache_smoke;
     Alcotest.test_case "cache sweep rejects bad counts" `Quick
       test_cache_rejections;

@@ -438,6 +438,63 @@ let test_config_rejects_empty_key_set () =
         (Driver.config ~keys_per_node:0 ~n:20 ~mix:Driver.read_heavy ()
           : Driver.config))
 
+(* A fault schedule needs a crash surface. Chord and the multiway tree
+   have none, so any schedule on any mix is rejected; the skip graph's
+   joins and leaves do not survive faults, so it takes a schedule only
+   on a churn-free mix. *)
+let faulted overlay spec mix =
+  match Baton_sim.Partition.parse spec with
+  | Error e -> Alcotest.fail e
+  | Ok fault_schedule ->
+    Driver.config ~overlay ~fault_schedule ~n:20 ~mix ()
+
+let fault_specs =
+  [ "partition@100+200:k=2"; "subtree@100"; "gray@100+200:peers=2";
+    "partition@500+1200:k=2;subtree@2200;gray@300+2500:peers=4" ]
+
+let all_mixes = Driver.mixes @ [ Driver.adversarial ]
+
+let test_config_rejects_faults_without_surface () =
+  List.iter
+    (fun overlay ->
+      List.iter
+        (fun spec ->
+          List.iter
+            (fun mix ->
+              Alcotest.check_raises
+                (Printf.sprintf "%s %s %s" overlay mix.Driver.mix_name spec)
+                (Invalid_argument
+                   (Printf.sprintf
+                      "Driver.config: %s has no fault recovery path; fault \
+                       schedules run on baton, skip-graph"
+                      overlay))
+                (fun () -> ignore (faulted overlay spec mix : Driver.config)))
+            all_mixes)
+        fault_specs)
+    [ "chord"; "multiway" ];
+  List.iter
+    (fun spec ->
+      Alcotest.check_raises ("skip-graph churn-heavy " ^ spec)
+        (Invalid_argument
+           "Driver.config: the skip graph's joins and leaves do not survive \
+            faults; pick a churn-free mix")
+        (fun () ->
+          ignore (faulted "skip-graph" spec Driver.churn_heavy : Driver.config)))
+    fault_specs
+
+let test_config_takes_skip_graph_faults_churn_free () =
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun mix ->
+          let cfg = faulted "skip-graph" spec mix in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s kept" mix.Driver.mix_name spec)
+            true
+            (cfg.Driver.fault_schedule <> []))
+        (List.filter (fun m -> m.Driver.churn_w = 0) all_mixes))
+    fault_specs
+
 (* The comparison overlays run on the fiber runtime under the
    shared/exclusive lock: concurrency changes only the clock. At 32
    clients and at 1 they count the same messages, completions and
@@ -500,6 +557,10 @@ let suite =
       test_config_rejects_zero_rate;
     Alcotest.test_case "config rejects empty key set" `Quick
       test_config_rejects_empty_key_set;
+    Alcotest.test_case "config rejects faults without surface" `Quick
+      test_config_rejects_faults_without_surface;
+    Alcotest.test_case "config takes skip-graph faults churn-free" `Quick
+      test_config_takes_skip_graph_faults_churn_free;
     Alcotest.test_case "overlays concurrent = serial counts" `Quick
       test_overlays_concurrent_match_serial;
   ]

@@ -6,6 +6,7 @@ module SG = Skip_graph
 module Rng = Baton_util.Rng
 module Sorted_store = Baton_util.Sorted_store
 module Oracle = Baton_obs.Oracle
+module Driver = Baton_runtime.Driver
 
 let domain_lo = 1
 let domain_hi = 1_000_000_000
@@ -150,20 +151,35 @@ let test_determinism () =
   let m3, _, _ = script 72 in
   Alcotest.(check bool) "different seed differs somewhere" true (m1 <> m3)
 
-(* The adversarial episode harness (shared with the overlay-matrix
-   experiment): partition, gray peers and a correlated crash burst must
-   leave zero oracle violations — failures are visible, never wrong
-   answers. *)
+(* The overlay-matrix adversarial run: a partition, gray peers and a
+   correlated crash burst, scheduled through [Driver.run], must fire
+   and leave zero oracle violations — failures are visible, never wrong
+   answers — and a clean structural check at the end of the run. *)
 let test_adversarial_zero_violations () =
-  let completed, failed, o, messages =
-    Baton_experiments.Exp_overlay_matrix.skip_graph_adversarial ~seed:3
-      ~n:60 ~keys_per_node:3 ~range_span:20_000_000 ~ops:120
+  let fault_schedule =
+    match
+      Baton_sim.Partition.parse
+        "partition@500+1200:k=2;subtree@2200;gray@300+2500:peers=4"
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
   in
-  Alcotest.(check int) "all ops accounted" 120 (completed + failed);
-  Alcotest.(check bool) "most ops completed" true (completed > 60);
+  let r =
+    Driver.run
+      (Driver.config ~overlay:"skip-graph" ~seed:3 ~keys_per_node:3 ~ops:120
+         ~fault_schedule ~oracle:true ~n:60 ~mix:Driver.adversarial ())
+  in
+  let o = Option.get r.Driver.oracle in
+  Alcotest.(check int)
+    "all ops accounted" 120
+    (r.Driver.completed + r.Driver.failed);
+  Alcotest.(check bool) "most ops completed" true (r.Driver.completed > 60);
   Alcotest.(check bool) "oracle judged completions" true (Oracle.checked o > 0);
   Alcotest.(check int) "zero violations" 0 (Oracle.violation_count o);
-  Alcotest.(check bool) "traffic counted" true (messages > 0)
+  Alcotest.(check bool) "traffic counted" true (r.Driver.messages > 0);
+  Alcotest.(check bool) "the partition bit" true (r.Driver.partition_timeouts > 0);
+  Alcotest.(check bool) "an episode fired" true (r.Driver.scenario <> []);
+  Alcotest.(check bool) "the crash lost keys" true (Oracle.lost_keys o > 0)
 
 (* --- Properties ---------------------------------------------------- *)
 
